@@ -21,7 +21,8 @@ import json
 from dataclasses import dataclass, field
 
 from .arrays import CodeBook, min_distance
-from .families import (SetFamily, Universe, Witness, _index_subsets,
+from .codec import bits_to_str, str_to_bits, write_json
+from .families import (SetFamily, Universe, Witness, _canonical_cover_witness,
                        is_k_cff, is_k_udf, is_k_ud_code)
 
 MODES = ("exhaustive", "structural", "assumed-from-fixture", "sampled")
@@ -99,9 +100,7 @@ class Certificate:
 
 
 def save_certificate(cert: Certificate, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cert.to_json_dict(), fh, sort_keys=True, default=str)
-        fh.write("\n")
+    write_json(cert.to_json_dict(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +127,7 @@ class AndAcc:
                 raise ConstructionError(f"codeword {j} exceeds length {self.v}")
 
     def codeword_string(self, j: int) -> str:
-        return "".join("1" if self.codewords[j] >> k & 1 else "0"
-                       for k in range(self.v))
+        return bits_to_str(self.codewords[j], self.v)
 
     def to_json_dict(self) -> dict:
         return {"v": self.v, "n": self.n, "K": self.K,
@@ -139,24 +137,14 @@ class AndAcc:
     def from_json_dict(cls, d: dict) -> "AndAcc":
         try:
             v, n, K = int(d["v"]), int(d["n"]), int(d["K"])
-            words = []
-            for s in d["codewords"]:
-                if len(s) != v or set(s) - {"0", "1"}:
-                    raise ConstructionError(f"bad codeword string {s!r}")
-                mask = 0
-                for k, ch in enumerate(s):
-                    if ch == "1":
-                        mask |= 1 << k
-                words.append(mask)
+            words = [str_to_bits(s, v) for s in d["codewords"]]
             return cls(v=v, n=n, K=K, codewords=words)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError(f"malformed AND-ACC JSON: {exc}") from exc
 
 
 def save_acc(acc: AndAcc, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(acc.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(acc.to_json_dict(), path)
 
 
 def load_acc(path) -> AndAcc:
@@ -216,8 +204,7 @@ def _structural_ud_entry(code: CodeBook, K: int) -> ConditionEntry | None:
 
 
 def build_theorem1_acc(code: CodeBook, family: SetFamily, K: int,
-                       mode: str = "exhaustive", threads: int = 1,
-                       family_mode: str = "exhaustive"):
+                       mode: str = "exhaustive", family_mode: str = "exhaustive"):
     """Concatenation build: requires the codebook K-union-distinct and the
     inner family K-union-distinct.  Returns (AndAcc, Certificate).
 
@@ -246,7 +233,7 @@ def build_theorem1_acc(code: CodeBook, family: SetFamily, K: int,
                              "provenance": code.provenance, "s": code.s,
                              "K": K, "fallback": "exhaustive"})
     if code_entry is None:
-        res = is_k_ud_code(code, K, threads=threads)
+        res = is_k_ud_code(code, K)
         code_entry = ConditionEntry(name="code is K-UD", mode="exhaustive",
                                     result=res.ok, params={"checked": res.checked},
                                     witness=res.witness)
@@ -256,7 +243,7 @@ def build_theorem1_acc(code: CodeBook, family: SetFamily, K: int,
         cert.add("inner family is K-UDF", "assumed-from-fixture", True,
                  params={"q": q, "members": family.n})
     else:
-        fres = is_k_udf(family, K, threads=threads)
+        fres = is_k_udf(family, K)
         cert.add("inner family is K-UDF", "exhaustive", fres.ok,
                  params={"checked": fres.checked}, witness=fres.witness)
 
@@ -271,25 +258,8 @@ def build_theorem1_acc(code: CodeBook, family: SetFamily, K: int,
 # Augmentation construction
 # ---------------------------------------------------------------------------
 
-def _cross_cover_witness(f: SetFamily, g: SetFamily, K: int) -> Witness | None:
-    """First union of <= K members of F+G covering a member of G outside
-    the union, in canonical order; None if there is none."""
-    members = f.members + g.members
-    n = len(members)
-    for S in _index_subsets(n, K):
-        u = 0
-        for j in S:
-            u |= members[j]
-        in_s = set(S)
-        for h in range(f.n, n):
-            if h not in in_s and members[h] & ~u == 0:
-                return Witness("cover", j2=S, covered=h)
-    return None
-
-
 def check_theorem2_conditions(code: CodeBook, f: SetFamily, g: SetFamily,
-                              K: int, threads: int = 1,
-                              cw_pair=None) -> Certificate:
+                              K: int, cw_pair=None) -> Certificate:
     """Evaluate the four augmentation hypotheses plus member-distinctness,
     all exhaustively.  Never raises on a failed condition; the certificate
     records everything.  cw_pair, when given as (B1, B2) constant-weight
@@ -311,11 +281,12 @@ def check_theorem2_conditions(code: CodeBook, f: SetFamily, g: SetFamily,
     cert.add("distance condition K(m-d) < m", "exhaustive",
              K * (m - d) < m, params={"d": d, "slack": m - K * (m - d)})
 
-    fres = is_k_cff(f, K, threads=threads)
+    fres = is_k_cff(f, K)
     cert.add("inner family is K-CFF", "exhaustive", fres.ok,
              params={"checked": fres.checked}, witness=fres.witness)
 
-    cw = _cross_cover_witness(f, g, K)
+    cw = _canonical_cover_witness(f.members + g.members, K,
+                                  range(f.n, f.n + g.n))
     cert.add("cross-cover condition on G", "exhaustive", cw is None,
              params={"members": f.n + g.n}, witness=cw)
 
@@ -334,12 +305,11 @@ def check_theorem2_conditions(code: CodeBook, f: SetFamily, g: SetFamily,
 
 
 def build_theorem2_acc(code: CodeBook, f: SetFamily, g: SetFamily, K: int,
-                       threads: int = 1, cw_pair=None):
+                       cw_pair=None):
     """Augmentation build: the concatenated family plus, for each
     coordinate, a tagged copy of every member of G.  Returns
     (AndAcc, Certificate); refuses if any hypothesis fails."""
-    cert = check_theorem2_conditions(code, f, g, K, threads=threads,
-                                     cw_pair=cw_pair)
+    cert = check_theorem2_conditions(code, f, g, K, cw_pair=cw_pair)
     if not cert.certified:
         raise ConstructionRefused(cert)
     h0 = build_h0(code, f)

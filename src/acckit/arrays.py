@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import write_json
 from .gf import GF
 
 PROVENANCES = ("U", "V", "W", "imported")
@@ -78,9 +79,7 @@ class CodeBook:
 
 
 def save_codebook(book: CodeBook, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(book.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(book.to_json_dict(), path)
 
 
 def load_codebook(path) -> CodeBook:
@@ -229,20 +228,18 @@ class OACheck:
         return d
 
 
-def verify_oa(book: CodeBook, t: int, threads: int = 1) -> OACheck:
+def verify_oa(book: CodeBook, t: int) -> OACheck:
     """Check that every ordered t-tuple appears exactly once in every
     t-column subarray.  A wrong row count shows up as a count != 1 and is
-    reported through the same witness fields.  Column subsets may be
-    checked by a thread pool; the reported failure is always the first in
-    column-subset order, so the result is independent of threads."""
+    reported through the same witness fields; the reported failure is the
+    first in column-subset order."""
     if t < 2:
         raise ParameterError("strength t must be >= 2; t = 1 is degenerate")
     if t > book.m:
         raise ParameterError(f"strength t={t} exceeds word length m={book.m}")
     s = book.s
     powers = s ** np.arange(t, dtype=np.int64)
-
-    def check(cols):
+    for cols in itertools.combinations(range(book.m), t):
         codes = book.rows[:, cols] @ powers
         counts = np.bincount(codes, minlength=s**t)
         bad = np.nonzero(counts != 1)[0]
@@ -251,20 +248,6 @@ def verify_oa(book: CodeBook, t: int, threads: int = 1) -> OACheck:
             symbols = tuple(int(code // s**j) % s for j in range(t))
             return OACheck(ok=False, strength=t, columns=cols,
                            symbols=symbols, count=int(counts[code]))
-        return None
-
-    subsets = itertools.combinations(range(book.m), t)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for verdict in pool.map(check, subsets):
-                if verdict is not None:
-                    return verdict
-    else:
-        for cols in subsets:
-            verdict = check(cols)
-            if verdict is not None:
-                return verdict
     return OACheck(ok=True, strength=t)
 
 

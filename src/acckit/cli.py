@@ -98,7 +98,7 @@ def cmd_oa_build(args) -> int:
 
 def cmd_oa_check(args) -> int:
     book = arrays.load_codebook(args.book)
-    verdict = arrays.verify_oa(book, args.t, threads=args.threads)
+    verdict = arrays.verify_oa(book, args.t)
     _emit(verdict.to_json_dict(), args.json,
           f"orthogonal array of strength {args.t}: {verdict.ok}")
     if not verdict.ok and not args.json:
@@ -179,41 +179,38 @@ def cmd_cw_to_family(args) -> int:
 # family
 # ---------------------------------------------------------------------------
 
-def cmd_family_verify(args) -> int:
-    fam = families.load_family(args.family)
-    if args.subfamily:
-        indices = _parse_indices(args.subfamily)
-        fam = fam.subfamily(indices)
+def _verify(args, fam, K) -> int:
+    """Shared body of `family verify` and `acc verify`."""
     if args.mode == "sampled":
-        if args.prop == "udf":
-            rep = families.sample_udf(fam, args.K, args.trials, args.seed)
-        else:
-            rep = families.sample_cff(fam, args.K, args.trials, args.seed)
-        _emit(rep.to_json_dict(), args.json,
-              f"{args.prop} sampled: {rep.violations} violations "
-              f"in {rep.trials} trials")
-        if not rep.ok and not args.json and rep.witness:
-            print(json.dumps(rep.witness.to_json_dict(), sort_keys=True))
-        return PASS if rep.ok else FAIL
-    check = families.is_k_udf if args.prop == "udf" else families.is_k_cff
-    res = check(fam, args.K, threads=args.threads)
-    _emit(res.to_json_dict(), args.json,
-          f"{args.prop} (K={args.K}): {res.ok} ({res.checked} checks)")
+        sample = families.sample_udf if args.prop == "udf" else families.sample_cff
+        res = sample(fam, K, args.trials, args.seed)
+        text = (f"{args.prop} sampled: {res.violations} violations "
+                f"in {res.trials} trials")
+    else:
+        check = families.is_k_udf if args.prop == "udf" else families.is_k_cff
+        res = check(fam, K)
+        text = f"{args.prop} (K={K}): {res.ok} ({res.checked} checks)"
+    _emit(res.to_json_dict(), args.json, text)
     if not res.ok and not args.json:
         print(json.dumps(res.witness.to_json_dict(), sort_keys=True))
     return PASS if res.ok else FAIL
+
+
+def cmd_family_verify(args) -> int:
+    fam = families.load_family(args.family)
+    if args.subfamily:
+        fam = fam.subfamily(_parse_indices(args.subfamily))
+    return _verify(args, fam, args.K)
 
 
 # ---------------------------------------------------------------------------
 # acc
 # ---------------------------------------------------------------------------
 
-def cmd_acc_build_t1(args) -> int:
-    book = arrays.load_codebook(args.code)
-    fam = families.load_family(args.family)
+def _build(args, build) -> int:
+    """Shared body of `acc build-t1` and `acc build-t2`."""
     try:
-        acc, cert = accs.build_theorem1_acc(book, fam, args.K, mode=args.mode,
-                                            threads=args.threads)
+        acc, cert = build()
     except accs.ConstructionRefused as exc:
         print(json.dumps(exc.certificate.to_json_dict(), sort_keys=True))
         return FAIL
@@ -223,46 +220,26 @@ def cmd_acc_build_t1(args) -> int:
     _emit(cert.to_json_dict(), args.json,
           f"built ({acc.v}, {acc.n}, {acc.K}) code -> {args.out}")
     return PASS
+
+
+def cmd_acc_build_t1(args) -> int:
+    book = arrays.load_codebook(args.code)
+    fam = families.load_family(args.family)
+    return _build(args, lambda: accs.build_theorem1_acc(book, fam, args.K,
+                                                        mode=args.mode))
 
 
 def cmd_acc_build_t2(args) -> int:
     book = arrays.load_codebook(args.code)
     f = families.load_family(args.family_f)
     g = families.load_family(args.family_g)
-    try:
-        acc, cert = accs.build_theorem2_acc(book, f, g, args.K,
-                                            threads=args.threads)
-    except accs.ConstructionRefused as exc:
-        print(json.dumps(exc.certificate.to_json_dict(), sort_keys=True))
-        return FAIL
-    accs.save_acc(acc, args.out)
-    if args.cert_out:
-        accs.save_certificate(cert, args.cert_out)
-    _emit(cert.to_json_dict(), args.json,
-          f"built ({acc.v}, {acc.n}, {acc.K}) code -> {args.out}")
-    return PASS
+    return _build(args, lambda: accs.build_theorem2_acc(book, f, g, args.K))
 
 
 def cmd_acc_verify(args) -> int:
     acc = accs.load_acc(args.acc)
     K = args.K if args.K is not None else acc.K
-    fam = accs.acc_to_family(acc)
-    if args.mode == "sampled":
-        if args.prop == "udf":
-            rep = families.sample_udf(fam, K, args.trials, args.seed)
-        else:
-            rep = families.sample_cff(fam, K, args.trials, args.seed)
-        _emit(rep.to_json_dict(), args.json,
-              f"{args.prop} sampled: {rep.violations} violations in "
-              f"{rep.trials} trials")
-        return PASS if rep.ok else FAIL
-    check = families.is_k_udf if args.prop == "udf" else families.is_k_cff
-    res = check(fam, K, threads=args.threads)
-    _emit(res.to_json_dict(), args.json,
-          f"{args.prop} (K={K}): {res.ok} ({res.checked} checks)")
-    if not res.ok and not args.json:
-        print(json.dumps(res.witness.to_json_dict(), sort_keys=True))
-    return PASS if res.ok else FAIL
+    return _verify(args, accs.acc_to_family(acc), K)
 
 
 def cmd_acc_compare(args) -> int:
@@ -332,8 +309,7 @@ def cmd_scan_remark6(args) -> int:
 
 def cmd_preset_run(args) -> int:
     result = presets.run_preset(args.name, fixtures=args.fixtures,
-                                out_dir=args.out_dir, threads=args.threads,
-                                deep=args.deep)
+                                out_dir=args.out_dir, deep=args.deep)
     if args.json:
         print(json.dumps(result.summary, sort_keys=True))
     else:
@@ -358,12 +334,20 @@ def cmd_preset_list(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, threads=False, seed=False):
+def _add_common(sp, seed=False):
     sp.add_argument("--json", action="store_true", help="machine output")
-    if threads:
-        sp.add_argument("--threads", type=int, default=1)
     if seed:
         sp.add_argument("--seed", type=int, default=0)
+
+
+def _add_verify_args(sp, K_required):
+    """Arguments shared by `family verify` and `acc verify`."""
+    sp.add_argument("--prop", choices=["udf", "cff"], required=True)
+    sp.add_argument("--K", type=int, required=K_required)
+    sp.add_argument("--mode", choices=["exhaustive", "sampled"],
+                    default="exhaustive")
+    sp.add_argument("--trials", type=int, default=10**6)
+    _add_common(sp, seed=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("check")
     q.add_argument("--book", required=True)
     q.add_argument("--t", type=int, required=True)
-    _add_common(q, threads=True)
+    _add_common(q)
     q.set_defaults(func=cmd_oa_check)
     q = osub.add_parser("distance")
     q.add_argument("--book", required=True)
@@ -449,13 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = p.add_subparsers(dest="subcommand", required=True)
     q = fsub.add_parser("verify")
     q.add_argument("--family", required=True)
-    q.add_argument("--prop", choices=["udf", "cff"], required=True)
-    q.add_argument("--K", type=int, required=True)
     q.add_argument("--subfamily", help="0-based indices, e.g. 0-8 or 0,1,4")
-    q.add_argument("--mode", choices=["exhaustive", "sampled"],
-                   default="exhaustive")
-    q.add_argument("--trials", type=int, default=10**6)
-    _add_common(q, threads=True, seed=True)
+    _add_verify_args(q, K_required=True)
     q.set_defaults(func=cmd_family_verify)
 
     p = sub.add_parser("acc", help="anti-collusion code operations")
@@ -468,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     q.add_argument("--out", required=True)
     q.add_argument("--cert-out")
-    _add_common(q, threads=True)
+    _add_common(q)
     q.set_defaults(func=cmd_acc_build_t1)
     q = asub.add_parser("build-t2", help="augmentation construction")
     q.add_argument("--code", required=True)
@@ -477,16 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--K", type=int, required=True)
     q.add_argument("--out", required=True)
     q.add_argument("--cert-out")
-    _add_common(q, threads=True)
+    _add_common(q)
     q.set_defaults(func=cmd_acc_build_t2)
     q = asub.add_parser("verify")
     q.add_argument("--acc", required=True)
-    q.add_argument("--prop", choices=["udf", "cff"], required=True)
-    q.add_argument("--K", type=int)
-    q.add_argument("--mode", choices=["exhaustive", "sampled"],
-                   default="exhaustive")
-    q.add_argument("--trials", type=int, default=10**6)
-    _add_common(q, threads=True, seed=True)
+    _add_verify_args(q, K_required=False)
     q.set_defaults(func=cmd_acc_verify)
     q = asub.add_parser("compare")
     q.add_argument("--acc", required=True)
@@ -532,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out-dir", help="write code/certificate/summary files")
     q.add_argument("--deep", action="store_true",
                    help="include long-running exhaustive output checks")
-    _add_common(q, threads=True)
+    _add_common(q)
     q.set_defaults(func=cmd_preset_run)
     q = psub.add_parser("list")
     _add_common(q)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .accs import AndAcc
 from .arrays import build_W
+from .codec import bits_to_str, str_to_bits
 from .families import SampleReport, VerifyResult, Witness, is_k_ud_code, sample_ud_code
 from .gf import GF
 
@@ -34,17 +35,14 @@ class Fingerprint:
     coalition: tuple[int, ...] | None = None
 
     def bitstring(self) -> str:
-        return "".join("1" if self.bits >> k & 1 else "0" for k in range(self.v))
+        return bits_to_str(self.bits, self.v)
 
     @classmethod
     def from_bitstring(cls, text: str) -> "Fingerprint":
-        if set(text) - {"0", "1"}:
-            raise CollusionError(f"fingerprint must be over 0/1, got {text!r}")
-        bits = 0
-        for k, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << k
-        return cls(v=len(text), bits=bits)
+        try:
+            return cls(v=len(text), bits=str_to_bits(text))
+        except ValueError as exc:
+            raise CollusionError(f"fingerprint must be over 0/1: {exc}") from exc
 
 
 def and_attack(acc: AndAcc, coalition) -> Fingerprint:

@@ -16,6 +16,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
+from .codec import bits_to_str, str_to_bits, write_json
 from .families import SetFamily, Universe
 
 
@@ -41,7 +42,7 @@ class ConstantWeightCode:
         return len(self.words)
 
     def word_string(self, j: int) -> str:
-        return "".join("1" if self.words[j] >> k & 1 else "0" for k in range(self.q))
+        return bits_to_str(self.words[j], self.q)
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "w": self.w, "d": self.d,
@@ -262,23 +263,11 @@ def check_condition_8(b1: ConstantWeightCode, b2: ConstantWeightCode,
 def export_code(code: ConstantWeightCode, path) -> None:
     path = str(path)
     if path.endswith(".json"):
-        with open(path, "w") as fh:
-            json.dump(code.to_json_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        write_json(code.to_json_dict(), path)
     else:
         with open(path, "w") as fh:
             for j in range(code.N):
                 fh.write(code.word_string(j) + "\n")
-
-
-def _word_from_string(text: str, lineno) -> int:
-    word = 0
-    for k, ch in enumerate(text):
-        if ch == "1":
-            word |= 1 << k
-        elif ch != "0":
-            raise CodeError(f"line {lineno}: invalid character {ch!r}")
-    return word
 
 
 def import_code(path, d: int | None = None,
@@ -292,9 +281,10 @@ def import_code(path, d: int | None = None,
         with open(path) as fh:
             try:
                 data = json.load(fh)
+                q = int(data["q"])
                 code = ConstantWeightCode(
-                    q=int(data["q"]), w=int(data["w"]), d=int(data["d"]),
-                    words=[_word_from_string(s, j) for j, s in enumerate(data["words"])])
+                    q=q, w=int(data["w"]), d=int(data["d"]),
+                    words=[str_to_bits(s, q) for s in data["words"]])
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise CodeError(f"malformed code file {path}: {exc}") from exc
     else:
@@ -307,9 +297,10 @@ def import_code(path, d: int | None = None,
                     continue
                 if length is None:
                     length = len(line)
-                elif len(line) != length:
-                    raise CodeError(f"line {lineno}: length {len(line)} != {length}")
-                words.append(_word_from_string(line, lineno))
+                try:
+                    words.append(str_to_bits(line, length))
+                except ValueError as exc:
+                    raise CodeError(f"line {lineno}: {exc}") from exc
         if not words:
             raise CodeError(f"no words in {path}")
         weight = words[0].bit_count()

@@ -18,7 +18,7 @@ Three properties are covered:
 
 For K = 2 at scale, a sort-based duplicate scan over packed 64-bit keys
 replaces the dictionary walk; verdicts are identical and the canonical
-witness is recovered by a targeted replay restricted to duplicated keys.
+witness is recovered by walking only the index sets whose key repeats.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from math import comb
 import numpy as np
 
 from .arrays import CodeBook, min_distance
+from .codec import write_json
 
 # Above this many enumerated units an exhaustive dictionary walk is refused
 # (use sampling or the packed K=2 path instead).
@@ -157,9 +158,7 @@ def _mask_bits(mask: int) -> tuple[int, ...]:
 
 
 def save_family(family: SetFamily, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(family.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(family.to_json_dict(), path)
 
 
 def load_family(path) -> SetFamily:
@@ -277,13 +276,18 @@ def _subset_count(n: int, kmax: int) -> int:
 # Union-distinct family check
 # ---------------------------------------------------------------------------
 
-def is_k_udf(family: SetFamily, K: int, threads: int = 1) -> VerifyResult:
+def is_k_udf(family: SetFamily, K: int) -> VerifyResult:
     """Exhaustively check that all unions of <= K members are distinct."""
     _require_family(family, K)
     n = family.n
     total = _subset_count(n, K)
     if min(K, n) == 2 and family.universe.v <= 64 and n > _PACKED_THRESHOLD:
-        return _udf_packed(family, threads)
+        arr = np.array(family.members, dtype=np.uint64)
+
+        def fill_pairs(i, dst):
+            np.bitwise_or(arr[i], arr[i + 1:], out=dst)
+
+        return _packed_pair_scan(arr, fill_pairs, "duplicate-union")
     if total > _EXHAUSTIVE_LIMIT:
         raise FamilyError(
             f"{total} unions exceed the exhaustive budget; use sample_udf"
@@ -303,68 +307,51 @@ def is_k_udf(family: SetFamily, K: int, threads: int = 1) -> VerifyResult:
     return VerifyResult(True, None, checked)
 
 
-def _udf_packed(family: SetFamily, threads: int = 1) -> VerifyResult:
-    """K = 2 path: pack singleton and pairwise unions into one uint64 array,
-    sort, and look for equal neighbours."""
-    members = family.members
-    n = len(members)
-    arr = np.array(members, dtype=np.uint64)
+def _packed_pair_scan(single: np.ndarray, fill_pairs, kind: str) -> VerifyResult:
+    """K = 2 duplicate scan over packed keys.
+
+    `single` holds the keys of the n singletons; fill_pairs(i, dst) writes
+    the keys of pairs (i, i+1), ..., (i, n-1) into dst.  All keys go into
+    one array in canonical order, which is sorted to find equal
+    neighbours.  On a duplicate the array is refilled in canonical order
+    and only the positions holding a duplicated key are walked, block by
+    block, which yields the same first witness as the dictionary walk.
+    """
+    n = len(single)
     total = n + n * (n - 1) // 2
-    out = np.empty(total, dtype=np.uint64)
-    out[:n] = arr
+    keys = np.empty(total, dtype=single.dtype)
+    # block 0 holds the singletons, block b > 0 the pairs (b - 1, j > b - 1)
+    bounds = [0, *itertools.accumulate(range(n - 1, 0, -1), initial=n)]
+    blocks = [keys[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    offsets = [n]
-    for i in range(n - 1):
-        offsets.append(offsets[-1] + (n - 1 - i))
+    def fill():
+        blocks[0][:] = single
+        for i in range(n - 1):
+            fill_pairs(i, blocks[i + 1])
 
-    def fill(lo_i, hi_i):
-        for i in range(lo_i, hi_i):
-            np.bitwise_or(arr[i], arr[i + 1:], out=out[offsets[i]:offsets[i + 1]])
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        bounds = np.linspace(0, n - 1, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda ab: fill(*ab), zip(bounds[:-1], bounds[1:])))
-    else:
-        fill(0, n - 1)
-
-    out.sort()
-    dup = out[1:] == out[:-1]
+    fill()
+    keys.sort()
+    dup = keys[1:] == keys[:-1]
     if not dup.any():
         return VerifyResult(True, None, total)
-    dup_values = {int(x) for x in np.unique(out[1:][dup])}
-    witness = _udf_replay(members, dup_values)
-    return VerifyResult(False, witness, total)
-
-
-def _udf_replay(members: list[int], dup_values: set[int]) -> Witness:
-    """Recover the canonical first duplicate, looking only at unions whose
-    value is known to repeat."""
+    dup_keys = np.unique(keys[1:][dup])
+    fill()
     seen: dict[int, tuple[int, ...]] = {}
-    n = len(members)
-    for j in range(n):
-        u = members[j]
-        if u in dup_values:
-            if u in seen:
-                return Witness("duplicate-union", seen[u], (j,))
-            seen[u] = (j,)
-    for a in range(n - 1):
-        ma = members[a]
-        for b in range(a + 1, n):
-            u = ma | members[b]
-            if u in dup_values:
-                if u in seen:
-                    return Witness("duplicate-union", seen[u], (a, b))
-                seen[u] = (a, b)
-    raise AssertionError("duplicate values reported but not found on replay")
+    for b, block in enumerate(blocks):
+        for p in np.flatnonzero(np.isin(block, dup_keys)).tolist():
+            J = (p,) if b == 0 else (b - 1, b + p)
+            key = int(block[p])
+            if key in seen:
+                return VerifyResult(False, Witness(kind, seen[key], J), total)
+            seen[key] = J
+    raise AssertionError("duplicate keys reported but not found on refill")
 
 
 # ---------------------------------------------------------------------------
 # Cover-free family check
 # ---------------------------------------------------------------------------
 
-def is_k_cff(family: SetFamily, K: int, threads: int = 1) -> VerifyResult:
+def is_k_cff(family: SetFamily, K: int) -> VerifyResult:
     """Exhaustively check that no union of <= K members covers a member
     outside the union.
 
@@ -385,7 +372,7 @@ def is_k_cff(family: SetFamily, K: int, threads: int = 1) -> VerifyResult:
     elem_members = _element_membership(family)
     for h in range(n):
         if _find_cover(members, elem_members, h, K) is not None:
-            witness = _canonical_cover_witness(members, K)
+            witness = _canonical_cover_witness(members, K, range(n))
             return VerifyResult(False, witness, naive)
     return VerifyResult(True, None, naive)
 
@@ -440,27 +427,27 @@ def _find_cover(members, elem_members, h, K):
     return sorted(found) if found is not None else None
 
 
-def _canonical_cover_witness(members, K):
-    n = len(members)
-    for S in _index_subsets(n, K):
+def _canonical_cover_witness(members, K, targets) -> Witness | None:
+    """First union of <= K members, in canonical order, that covers a
+    member h in `targets` outside the union; None if there is none."""
+    for S in _index_subsets(len(members), K):
         u = 0
         for j in S:
             u |= members[j]
         in_s = set(S)
-        for h in range(n):
+        for h in targets:
             if h not in in_s and members[h] & ~u == 0:
                 return Witness("cover", j2=S, covered=h)
-    raise AssertionError("cover detected but not found on canonical scan")
+    return None
 
 
-def is_partial_cff(family: SetFamily, subfamily_indices, K: int,
-                   threads: int = 1) -> VerifyResult:
+def is_partial_cff(family: SetFamily, subfamily_indices, K: int) -> VerifyResult:
     """Check the designated subfamily, considered alone, for cover-freeness.
     Witness indices refer to positions within `subfamily_indices`."""
     indices = list(subfamily_indices)
     if not indices:
         raise FamilyError("subfamily must be nonempty")
-    return is_k_cff(family.subfamily(indices), K, threads=threads)
+    return is_k_cff(family.subfamily(indices), K)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +459,7 @@ def _symbol_set_key(rows, J):
     return tuple(tuple(sorted({rows[j][i] for j in J})) for i in range(m))
 
 
-def is_k_ud_code(book: CodeBook, K: int, threads: int = 1) -> VerifyResult:
+def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     """Exhaustively check that no two distinct row-index sets of size <= K
     give identical per-coordinate symbol sets."""
     if book.M == 0:
@@ -481,8 +468,21 @@ def is_k_ud_code(book: CodeBook, K: int, threads: int = 1) -> VerifyResult:
         raise FamilyError(f"K must be >= 1, got {K}")
     n = book.M
     total = _subset_count(n, K)
-    if min(K, n) == 2 and _pair_code_fits(book.s, book.m) and n > _PACKED_THRESHOLD:
-        return _ud_code_packed(book, threads)
+    s, m = book.s, book.m
+    if min(K, n) == 2 and (s * s) ** m < 2**63 and n > _PACKED_THRESHOLD:
+        # each coordinate's symbol set {lo, hi} is encoded as lo*s + hi and
+        # the m codes are packed base s^2 into one integer per index set
+        rows = book.rows.astype(np.int64)
+        base = np.int64(s * s) ** np.arange(m, dtype=np.int64)
+
+        def fill_pairs(i, dst):
+            lo = np.minimum(rows[i], rows[i + 1:])
+            lo *= s
+            lo += np.maximum(rows[i], rows[i + 1:])
+            np.matmul(lo, base, out=dst)
+
+        return _packed_pair_scan((rows * s + rows) @ base, fill_pairs,
+                                 "duplicate-symbol-set")
     if total > _EXHAUSTIVE_LIMIT:
         raise FamilyError(
             f"{total} subsets exceed the exhaustive budget; use sample_ud_code"
@@ -499,69 +499,6 @@ def is_k_ud_code(book: CodeBook, K: int, threads: int = 1) -> VerifyResult:
                                 checked)
         seen[key] = J
     return VerifyResult(True, None, checked)
-
-
-def _pair_code_fits(s: int, m: int) -> bool:
-    return (s * s) ** m < 2**63
-
-
-def _ud_code_packed(book: CodeBook, threads: int = 1) -> VerifyResult:
-    """K = 2 path: encode each coordinate's unordered symbol pair as
-    lo*s + hi and pack the m codes into one integer per index set."""
-    s, m, n = book.s, book.m, book.M
-    rows = book.rows.astype(np.int64)
-    base = np.int64(s * s) ** np.arange(m, dtype=np.int64)
-    total = n + n * (n - 1) // 2
-    out = np.empty(total, dtype=np.int64)
-    out[:n] = (rows * s + rows) @ base
-
-    offsets = [n]
-    for i in range(n - 1):
-        offsets.append(offsets[-1] + (n - 1 - i))
-
-    def fill(lo_i, hi_i):
-        for i in range(lo_i, hi_i):
-            lo = np.minimum(rows[i], rows[i + 1:])
-            hi = np.maximum(rows[i], rows[i + 1:])
-            out[offsets[i]:offsets[i + 1]] = (lo * s + hi) @ base
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        bounds = np.linspace(0, n - 1, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda ab: fill(*ab), zip(bounds[:-1], bounds[1:])))
-    else:
-        fill(0, n - 1)
-    out.sort()
-    dup = out[1:] == out[:-1]
-    if not dup.any():
-        return VerifyResult(True, None, total)
-    dup_values = {int(x) for x in np.unique(out[1:][dup])}
-    witness = _ud_code_replay(book, base, dup_values)
-    return VerifyResult(False, witness, total)
-
-
-def _ud_code_replay(book: CodeBook, base, dup_values: set[int]) -> Witness:
-    rows = book.row_tuples()
-    s, n = book.s, book.M
-    basel = [int(b) for b in base]
-
-    def encode(J):
-        code = 0
-        for i, b in enumerate(basel):
-            syms = sorted({rows[j][i] for j in J})
-            lo, hi = syms[0], syms[-1]
-            code += (lo * s + hi) * b
-        return code
-
-    seen: dict[int, tuple[int, ...]] = {}
-    for J in _index_subsets(n, 2):
-        code = encode(J)
-        if code in dup_values:
-            if code in seen:
-                return Witness("duplicate-symbol-set", seen[code], J)
-            seen[code] = J
-    raise AssertionError("duplicate codes reported but not found on replay")
 
 
 def check_distance_condition(book: CodeBook, K: int) -> bool:

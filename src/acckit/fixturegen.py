@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 from pathlib import Path
 
+from .codec import write_json
 from .cwcodes import ConstantWeightCode, export_code, stochastic_search, verify_cw_code
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -136,17 +136,13 @@ def make_fixture_files(out_dir: Path | str = FIXTURE_DIR) -> dict[str, Path]:
     paths = {}
 
     fam_path = out_dir / "example1_family.json"
-    with open(fam_path, "w") as fh:
-        json.dump({"universe": {"v": 9, "product": {"m": 3, "q": 3}},
-                   "sets": EXAMPLE1_SETS}, fh, sort_keys=True)
-        fh.write("\n")
+    write_json({"universe": {"v": 9, "product": {"m": 3, "q": 3}},
+                "sets": EXAMPLE1_SETS}, fam_path)
     paths["example1_family"] = fam_path
 
     code_path = out_dir / "example2_code.json"
-    with open(code_path, "w") as fh:
-        json.dump({"s": 3, "m": 3, "rows": EXAMPLE2_ROWS,
-                   "provenance": "imported"}, fh, sort_keys=True)
-        fh.write("\n")
+    write_json({"s": 3, "m": 3, "rows": EXAMPLE2_ROWS,
+                "provenance": "imported"}, code_path)
     paths["example2_code"] = code_path
 
     cw20 = build_cw_q20_n83()

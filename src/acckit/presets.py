@@ -15,7 +15,6 @@ concatenation outputs at K = 2) and by seeded sampling where it does not
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from math import comb
@@ -25,6 +24,7 @@ from .accs import (AndAcc, Certificate, acc_to_family, build_theorem1_acc,
                    build_theorem2_acc, compare_prior, save_acc,
                    save_certificate)
 from .arrays import build_U, build_W, load_codebook, min_distance, verify_oa
+from .codec import write_json
 from .cwcodes import greedy_lexicode, import_code, family_from_code
 from .families import (SetFamily, Universe, is_k_cff, is_k_udf,
                        is_partial_cff, load_family, sample_udf)
@@ -142,25 +142,22 @@ def _finish(preset: PipelinePreset, acc: AndAcc, cert: Certificate,
         out_dir.mkdir(parents=True, exist_ok=True)
         save_acc(acc, out_dir / f"{preset.name}_acc.json")
         save_certificate(cert, out_dir / f"{preset.name}_certificate.json")
-        with open(out_dir / f"{preset.name}_summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(summary, out_dir / f"{preset.name}_summary.json")
     return result
 
 
-def _run_example1(preset, fixtures, threads, deep):
+def _run_example1(preset, fixtures, deep):
     book = load_codebook(fixture_path("example2_code.json", fixtures))
     family = _singleton_family(3)
-    acc, cert = build_theorem1_acc(book, family, preset.K, mode="exhaustive",
-                                   threads=threads)
+    acc, cert = build_theorem1_acc(book, family, preset.K, mode="exhaustive")
     out_family = acc_to_family(acc, product=(book.m, 3))
     fixture_family = load_family(fixture_path("example1_family.json", fixtures))
     cert.add("output equals the canonical twelve sets", "exhaustive",
              out_family == fixture_family)
-    res = is_k_udf(out_family, preset.K, threads=threads)
+    res = is_k_udf(out_family, preset.K)
     cert.add("output family is K-UDF", "exhaustive", res.ok,
              params={"checked": res.checked}, witness=res.witness)
-    cff = is_k_cff(out_family, preset.K, threads=threads)
+    cff = is_k_cff(out_family, preset.K)
     cert.add("output family is K-CFF", "exhaustive", cff.ok, required=False,
              witness=cff.witness)
     part = is_partial_cff(out_family, range(9), preset.K)
@@ -171,13 +168,13 @@ def _run_example1(preset, fixtures, threads, deep):
     return acc, cert, notes, None
 
 
-def _run_example2(preset, fixtures, threads, deep):
+def _run_example2(preset, fixtures, deep):
     gf = GF(3)
     book = build_W(gf, 2, 3)
     fixture_book = load_codebook(fixture_path("example2_code.json", fixtures))
     cert_extra = []
     acc, cert = build_theorem1_acc(book, _singleton_family(3), preset.K,
-                                   mode="exhaustive", threads=threads)
+                                   mode="exhaustive")
     cert.add("stacked array equals the canonical twelve rows", "exhaustive",
              book.row_set() == fixture_book.row_set())
     d = min_distance(book, method="pairwise")
@@ -191,7 +188,7 @@ def _run_example2(preset, fixtures, threads, deep):
     return acc, cert, notes, None
 
 
-def _run_example3(preset, fixtures, threads, deep):
+def _run_example3(preset, fixtures, deep):
     cw = import_code(fixture_path("example3_inner_code.json", fixtures))
     if cw.N != 83:
         raise PresetError(f"fixture has {cw.N} words, need exactly 83")
@@ -199,10 +196,9 @@ def _run_example3(preset, fixtures, threads, deep):
     q = cw.q
     gf = GF(83)
     book = build_W(gf, 2, 3)
-    acc, cert = build_theorem1_acc(book, family, preset.K, mode="structural",
-                                   threads=threads)
+    acc, cert = build_theorem1_acc(book, family, preset.K, mode="structural")
     out_family = acc_to_family(acc, product=(book.m, q))
-    res = is_k_udf(out_family, preset.K, threads=threads)
+    res = is_k_udf(out_family, preset.K)
     cert.add("output family is K-UDF", "exhaustive", res.ok,
              params={"checked": res.checked, "unions": res.checked},
              witness=res.witness)
@@ -217,12 +213,10 @@ def _run_example3(preset, fixtures, threads, deep):
     return acc, cert, notes, expected_v
 
 
-def _augmented_output_checks(cert, acc, product, K, threads, deep,
-                             deep_exhaustive_cff):
+def _augmented_output_checks(cert, acc, product, K, exhaustive_cff):
     out_family = acc_to_family(acc, product=product)
-    naive = sum(comb(acc.n, k) for k in range(1, K + 1))
-    if deep and deep_exhaustive_cff:
-        res = is_k_cff(out_family, K, threads=threads)
+    if exhaustive_cff:
+        res = is_k_cff(out_family, K)
         cert.add("output family is K-CFF", "exhaustive", res.ok,
                  params={"checked": res.checked}, witness=res.witness)
     else:
@@ -233,20 +227,26 @@ def _augmented_output_checks(cert, acc, product, K, threads, deep,
              required=False,
              params={"trials": srep.trials, "violations": srep.violations,
                      "seed": srep.seed})
-    return out_family, naive
 
 
-def _run_example4(preset, fixtures, threads, deep):
+def _sampled_note(acc: AndAcc) -> str:
+    naive = sum(comb(acc.n, k) for k in range(1, acc.K + 1))
+    return (f"exhaustive K={acc.K} verification infeasible at this size: "
+            f"{naive} subsets; replaced by {SAMPLE_TRIALS} seeded "
+            "union-distinctness samples")
+
+
+def _run_example4(preset, fixtures, deep):
     gf = GF(7)
     book = build_U(gf, 3, 7)
     oa = verify_oa(book, 3)
     family = _singleton_family(7)
     g = SetFamily.from_sets(Universe(7), [[0, 1, 2, 3], [0, 4, 5, 6]])
-    acc, cert = build_theorem2_acc(book, family, g, preset.K, threads=threads)
+    acc, cert = build_theorem2_acc(book, family, g, preset.K)
     cert.add("rows form a strength-3 orthogonal array", "exhaustive", oa.ok,
              required=False)
     _augmented_output_checks(cert, acc, (book.m, 7), preset.K,
-                             threads, deep, deep_exhaustive_cff=True)
+                             exhaustive_cff=deep)
     cover_checks = acc.n * sum(comb(acc.n - 1, k) for k in range(1, preset.K + 1))
     notes = [f"output cover-freeness spans {cover_checks} cover checks; "
              + ("verified exhaustively" if deep else
@@ -254,7 +254,7 @@ def _run_example4(preset, fixtures, threads, deep):
     return acc, cert, notes, None
 
 
-def _run_example5(preset, fixtures, threads, deep):
+def _run_example5(preset, fixtures, deep):
     b1 = import_code(fixture_path("example5_inner_code.json", fixtures))
     if b1.N != 31:
         raise PresetError(f"fixture has {b1.N} words, need exactly 31")
@@ -266,28 +266,21 @@ def _run_example5(preset, fixtures, threads, deep):
     g = family_from_code(b2)
     gf = GF(31)
     book = build_U(gf, 3, 7)
-    acc, cert = build_theorem2_acc(book, f, g, preset.K, threads=threads,
-                                   cw_pair=(b1, b2))
-    _, naive = _augmented_output_checks(cert, acc, (book.m, 21), preset.K,
-                                        threads, deep, deep_exhaustive_cff=False)
-    notes = [f"exhaustive K={preset.K} verification infeasible at this size: "
-             f"{naive} subsets; replaced by {SAMPLE_TRIALS} seeded "
-             "union-distinctness samples"]
-    return acc, cert, notes, None
+    acc, cert = build_theorem2_acc(book, f, g, preset.K, cw_pair=(b1, b2))
+    _augmented_output_checks(cert, acc, (book.m, 21), preset.K,
+                             exhaustive_cff=False)
+    return acc, cert, [_sampled_note(acc)], None
 
 
-def _run_example6(preset, fixtures, threads, deep):
+def _run_example6(preset, fixtures, deep):
     gf = GF(3, 2)
     book = build_U(gf, 3, 9)
     family = _singleton_family(9)
     g = SetFamily.from_sets(Universe(9), [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]])
-    acc, cert = build_theorem2_acc(book, family, g, preset.K, threads=threads)
-    _, naive = _augmented_output_checks(cert, acc, (book.m, 9), preset.K,
-                                        threads, deep, deep_exhaustive_cff=False)
-    notes = [f"exhaustive K={preset.K} verification infeasible at this size: "
-             f"{naive} subsets; replaced by {SAMPLE_TRIALS} seeded "
-             "union-distinctness samples"]
-    return acc, cert, notes, None
+    acc, cert = build_theorem2_acc(book, family, g, preset.K)
+    _augmented_output_checks(cert, acc, (book.m, 9), preset.K,
+                             exhaustive_cff=False)
+    return acc, cert, [_sampled_note(acc)], None
 
 
 _RUNNERS = {
@@ -300,7 +293,7 @@ _RUNNERS = {
 }
 
 
-def run_preset(name: str, fixtures=None, out_dir=None, threads: int = 1,
+def run_preset(name: str, fixtures=None, out_dir=None,
                deep: bool = False) -> PresetResult:
     """Execute a named pipeline preset and return its result.
 
@@ -310,7 +303,7 @@ def run_preset(name: str, fixtures=None, out_dir=None, threads: int = 1,
     if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
     preset = PRESETS[name]
-    acc, cert, notes, expected_v = _RUNNERS[name](preset, fixtures, threads, deep)
+    acc, cert, notes, expected_v = _RUNNERS[name](preset, fixtures, deep)
     return _finish(preset, acc, cert, notes, expected_v, out_dir)
 
 

@@ -7,7 +7,6 @@ union count for the big concatenation output is asserted at its exact
 value n + C(n, 2) = 24,307,878 for n = 6972.
 """
 
-import os
 import random
 import time
 from math import comb
@@ -26,8 +25,6 @@ from acckit.presets import run_preset
 
 from _oracles import naive_cff, naive_udf
 from conftest import EXAMPLE2_ROWS
-
-THREADS = min(8, os.cpu_count() or 1)
 
 
 def _report(num, elapsed, text):
@@ -99,15 +96,14 @@ def test_criterion_04_full_scale_concatenation():
     assert is_k_udf(family, 2).ok  # verified 2-UDF(q', 83)
     book = build_W(GF(83), 2, 3)
     assert book.M == 6972
-    acc, cert = build_theorem1_acc(book, family, 2, mode="structural",
-                                   threads=THREADS)
+    acc, cert = build_theorem1_acc(book, family, 2, mode="structural")
     assert acc.n == 6972 and acc.K == 2
     assert acc.v == 3 * cw.q
     exact = cw.q == 20
     if exact:
         assert acc.v == 60
     out_family = acc_to_family(acc, product=(3, cw.q))
-    res = is_k_udf(out_family, 2, threads=THREADS)
+    res = is_k_udf(out_family, 2)
     assert res.ok
     assert res.checked == 6972 + comb(6972, 2) == 24_307_878
     elapsed = time.monotonic() - t0
@@ -120,7 +116,7 @@ def test_criterion_04_full_scale_concatenation():
 
 def test_criterion_05_full_scale_augmentation_exhaustive():
     t0 = time.monotonic()
-    result = run_preset("example4", deep=True, threads=THREADS)
+    result = run_preset("example4", deep=True)
     acc = result.acc
     assert (acc.v, acc.n, acc.K) == (49, 357, 3)
     assert acc.n == 343 + 2 * 7
@@ -147,7 +143,7 @@ def test_criterion_05_full_scale_augmentation_exhaustive():
 
 def test_criterion_06_large_augmentation():
     t0 = time.monotonic()
-    result = run_preset("example5", threads=THREADS)
+    result = run_preset("example5")
     acc = result.acc
     assert (acc.v, acc.n, acc.K) == (147, 29798, 3)
     assert acc.n == 29791 + 7 * 1
@@ -179,7 +175,7 @@ def test_criterion_06_large_augmentation():
 
 def test_criterion_07_resilience_four():
     t0 = time.monotonic()
-    result = run_preset("example6", threads=THREADS)
+    result = run_preset("example6")
     acc = result.acc
     assert (acc.v, acc.n, acc.K) == (81, 747, 4)
     assert acc.n == 729 + 9 * 2

@@ -317,7 +317,7 @@ def test_condition_8_implies_hypotheses():
     from acckit.cwcodes import (ConstantWeightCode, check_condition_8,
                                 family_from_code, greedy_lexicode,
                                 verify_cw_code)
-    from acckit.accs import _cross_cover_witness
+    from acckit.families import _canonical_cover_witness
     rng = random.Random(99)
     checked = 0
     for _ in range(60):
@@ -339,7 +339,9 @@ def test_condition_8_implies_hypotheses():
         f = family_from_code(b1)
         g = family_from_code(b2)
         assert is_k_cff(f, K).ok, (q, d1, w1, K)
-        assert _cross_cover_witness(f, g, K) is None, (q, d1, w1, d2, w2, K)
+        assert _canonical_cover_witness(f.members + g.members, K,
+                                        range(f.n, f.n + g.n)) is None, \
+            (q, d1, w1, d2, w2, K)
         checked += 1
     assert checked >= 5  # the sweep actually found qualifying pairs
 

@@ -189,10 +189,10 @@ def test_extension_field_builds_match_scalar_arithmetic():
         assert list(u.rows[idx]) == expect
 
 
-def test_verify_oa_threads_deterministic():
+def test_verify_oa_strength_and_failure_witness():
     u = build_U(GF(7), 3, 7)
-    assert verify_oa(u, 3, threads=4).ok
+    assert verify_oa(u, 3).ok
     w = build_W(GF(3), 2, 3)
-    a = verify_oa(w, 2, threads=1)
-    b = verify_oa(w, 2, threads=4)
-    assert (a.columns, a.symbols, a.count) == (b.columns, b.symbols, b.count)
+    a = verify_oa(w, 2)
+    assert not a.ok
+    assert (a.columns, a.symbols, a.count) == ((0, 1), (2, 0), 2)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from acckit.cli import main
 
 
@@ -86,6 +88,23 @@ def test_cw_verify_malformed_exit_2(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_cw_verify_rejects_short_json_words(tmp_path, capsys):
+    from acckit.cwcodes import CodeError, import_code
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"q": 6, "w": 2, "d": 4,
+                                 "words": ["11000", "0011"]}))
+    with pytest.raises(CodeError):
+        import_code(short, verify=False)
+    code, _, err = run_cli(capsys, "cw", "verify", "--code", str(short))
+    assert code == 2 and "error" in err
+
+
+def test_threads_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["preset", "run", "example1", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_cw_search(capsys):
     code, out, _ = run_cli(capsys, "cw", "search", "--q", "4", "--d", "2",
                            "--w", "2", "--target-n", "6", "--seed", "3",
@@ -124,6 +143,16 @@ def test_family_verify_subfamily_and_sampled(tmp_path, capsys):
                            "--prop", "udf", "--K", "2", "--mode", "sampled",
                            "--trials", "500", "--seed", "1", "--json")
     assert code == 0 and json.loads(out)["trials"] == 500
+    # acc verify shares the body: a sampled failure prints its witness
+    acc = tmp_path / "ex1_acc.json"
+    acc.write_text(json.dumps({"v": 9, "n": 12, "K": 2, "codewords": [
+        "".join("0" if k in s else "1" for k in range(9))
+        for s in EXAMPLE1_SETS]}))
+    code, out, _ = run_cli(capsys, "acc", "verify", "--acc", str(acc),
+                           "--prop", "cff", "--mode", "sampled",
+                           "--trials", "3000", "--seed", "0")
+    assert code == 1
+    assert json.loads(out.splitlines()[-1])["kind"] == "cover"
 
 
 def test_acc_roundtrip_via_cli(tmp_path, capsys):

@@ -152,13 +152,28 @@ def test_udf_packed_path_agrees(monkeypatch):
             assert plain.witness == packed.witness
 
 
-def test_udf_packed_threads_deterministic(monkeypatch):
-    rng = random.Random(5)
-    fam = random_family(rng, 40, 50)
-    monkeypatch.setattr(fam_mod, "_PACKED_THRESHOLD", 1)
-    a = is_k_udf(fam, 2, threads=1)
-    b = is_k_udf(fam, 2, threads=4)
-    assert a == b
+def test_udf_packed_default_dispatch_planted_duplicate(monkeypatch):
+    # n > 512 members over v <= 64 takes the packed path without patching;
+    # its witness must be the dictionary walk's canonical first duplicate
+    rng = random.Random(41)
+    n = 600
+    for plant in ("singleton-pair", "pair-pair", "singleton-pair", "pair-pair"):
+        v = rng.randint(40, 64)
+        sets = [rng.sample(range(v), 6) for _ in range(n)]
+        a, b, c, d = sorted(rng.sample(range(n), 4))
+        if plant == "singleton-pair":
+            sets[d] = sets[a] + sets[b]
+        else:  # c and d split the elements of a and b between them
+            sets[c] = sets[a][:3] + sets[b][:3]
+            sets[d] = sets[a][3:] + sets[b][3:]
+        fam = SetFamily.from_sets(Universe(v), sets)
+        packed = is_k_udf(fam, 2)
+        assert not packed.ok and packed.checked == n + n * (n - 1) // 2
+        assert replay_witness(fam, packed.witness)
+        monkeypatch.setattr(fam_mod, "_PACKED_THRESHOLD", 10**6)
+        plain = is_k_udf(fam, 2)
+        monkeypatch.setattr(fam_mod, "_PACKED_THRESHOLD", 512)
+        assert packed.witness == plain.witness
 
 
 def test_udf_member_order_invariance():
@@ -315,6 +330,17 @@ def test_ud_code_packed_path_agrees(monkeypatch):
             assert plain.witness == packed.witness
 
 
+def test_ud_code_packed_default_dispatch_failure():
+    # W over GF(32) has 1056 rows, so the packed path runs unpatched; the
+    # even alphabet breaks 2-union-distinctness
+    book = build_W(GF(2, 5), 2, 3)
+    res = is_k_ud_code(book, 2)
+    assert not res.ok
+    assert res.checked == 558_096
+    assert res.witness == Witness("duplicate-symbol-set", (96, 98), (1024, 1026))
+    assert replay_witness(book, res.witness)
+
+
 def test_ud_code_errors():
     with pytest.raises(FamilyError):
         is_k_ud_code(CodeBook(s=3, m=3, rows=np.zeros((0, 3), dtype=int)), 2)
@@ -358,13 +384,3 @@ def test_samplers_reject_degenerate_families():
         sample_udf(lone, 2, 10, seed=0)
     with pytest.raises(FamilyError):
         sample_cff(lone, 2, 10, seed=0)
-
-
-def test_ud_code_packed_threads_deterministic(monkeypatch):
-    from acckit.arrays import build_W
-    from acckit.gf import GF
-    book = build_W(GF(5), 2, 5)
-    monkeypatch.setattr(fam_mod, "_PACKED_THRESHOLD", 1)
-    a = is_k_ud_code(book, 2, threads=1)
-    b = is_k_ud_code(book, 2, threads=4)
-    assert a == b and a.ok
