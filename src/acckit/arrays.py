@@ -331,26 +331,15 @@ class Lemma1Report:
 
 def _max_coincidences(a: np.ndarray, b: np.ndarray | None, bound: int):
     """Max pairwise coincidences within a (b=None) or across a and b.
-    Returns (max, first pair exceeding bound or None)."""
+    Returns (max, first pair (i, j, count) exceeding bound, or None)."""
     best = -1
     worst = None
-    if b is None:
-        for i in range(a.shape[0] - 1):
-            counts = (a[i] == a[i + 1:]).sum(axis=1)
-            top = int(counts.max())
-            if top > best:
-                best = top
-                if top > bound and worst is None:
-                    j = int(np.argmax(counts)) + i + 1
-                    worst = (i, j, top)
-    else:
-        for i in range(a.shape[0]):
-            counts = (a[i] == b).sum(axis=1)
-            top = int(counts.max())
-            if top > best:
-                best = top
-                if top > bound and worst is None:
-                    worst = (i, int(np.argmax(counts)), top)
+    for i in range(a.shape[0] - (b is None)):
+        counts = (a[i] == (a[i + 1:] if b is None else b)).sum(axis=1)
+        best = max(best, int(counts.max()))
+        if worst is None and (over := np.flatnonzero(counts > bound)).size:
+            j = int(over[0])
+            worst = (i, j + i + 1 if b is None else j, int(counts[j]))
     return best, worst
 
 

@@ -40,8 +40,10 @@ def _parse_indices(text: str, base: int = 0) -> list[int]:
         if not tok:
             continue
         if "-" in tok:
-            lo, hi = tok.split("-", 1)
-            out.extend(range(int(lo) - base, int(hi) - base + 1))
+            lo, hi = (int(end) - base for end in tok.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"index range {tok!r} runs backwards")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(tok) - base)
     if not out:

@@ -19,6 +19,9 @@ Three properties are covered:
 For K = 2 at scale, a sort-based duplicate scan over packed 64-bit keys
 replaces the dictionary walk; verdicts are identical and the canonical
 witness is recovered by walking only the index sets whose key repeats.
+Cover-freeness runs one exact kernel per target over the distinct
+projections of the other members onto it, which yields the verdict and
+the canonical witness in one pass.
 """
 
 from __future__ import annotations
@@ -123,6 +126,14 @@ class SetFamily:
         return _mask_bits(self.members[j])
 
     def subfamily(self, indices) -> "SetFamily":
+        """Members at `indices`, in that order; indices must be distinct
+        and lie in [0, n)."""
+        indices = list(indices)
+        for j in indices:
+            if not 0 <= j < self.n:
+                raise FamilyError(f"subfamily index {j} outside 0..{self.n - 1}")
+        if len(set(indices)) != len(indices):
+            raise FamilyError("subfamily indices repeat")
         return SetFamily(self.universe, [self.members[j] for j in indices])
 
     def to_json_dict(self) -> dict:
@@ -355,11 +366,10 @@ def is_k_cff(family: SetFamily, K: int) -> VerifyResult:
     """Exhaustively check that no union of <= K members covers a member
     outside the union.
 
-    The verdict comes from a pruned depth-first cover search that is exact:
-    a member is only added if it strictly shrinks the uncovered residue
-    (every minimal cover has this form), so a cover is found iff one
-    exists.  On failure the canonical witness is recovered by a direct
-    scan in enumeration order.
+    The exact cover kernel `_canonical_cover_witness` runs over every
+    member as a target; it yields the verdict and the canonical witness
+    (the first failure in enumeration order) in one pass.  `checked`
+    counts the n * sum C(n-1, k) cover checks the verdict stands for.
     """
     _require_family(family, K)
     n = family.n
@@ -368,76 +378,65 @@ def is_k_cff(family: SetFamily, K: int) -> VerifyResult:
         raise FamilyError(
             f"{n} members exceed the exhaustive cover budget; use sample_cff"
         )
-    members = family.members
-    elem_members = _element_membership(family)
-    for h in range(n):
-        if _find_cover(members, elem_members, h, K) is not None:
-            witness = _canonical_cover_witness(members, K, range(n))
-            return VerifyResult(False, witness, naive)
-    return VerifyResult(True, None, naive)
-
-
-def _element_membership(family: SetFamily) -> list[int]:
-    """For each universe element, the n-bit mask of members containing it."""
-    masks = [0] * family.universe.v
-    for j, mask in enumerate(family.members):
-        bit = 1 << j
-        for idx in _mask_bits(mask):
-            masks[idx] |= bit
-    return masks
-
-
-def _find_cover(members, elem_members, h, K):
-    """Indices of <= K members (excluding h) whose union covers member h,
-    or None."""
-    target = members[h]
-    cand = [j for j in range(len(members)) if j != h and members[j] & target]
-
-    def covering_members(residual):
-        mask = -1
-        r = residual
-        while r:
-            low = r & -r
-            mask &= elem_members[low.bit_length() - 1]
-            if not mask:
-                return 0
-            r ^= low
-        return mask
-
-    def dfs(pos, last_idx, residual, budget):
-        if budget == 1:
-            mask = covering_members(residual) & ~(1 << h)
-            mask &= -1 << (last_idx + 1)
-            if mask:
-                return [(mask & -mask).bit_length() - 1]
-            return None
-        for ci in range(pos, len(cand)):
-            c = cand[ci]
-            nr = residual & ~members[c]
-            if nr == residual:
-                continue
-            if nr == 0:
-                return [c]
-            sub = dfs(ci + 1, c, nr, budget - 1)
-            if sub is not None:
-                return [c] + sub
-        return None
-
-    found = dfs(0, -1, target, K)
-    return sorted(found) if found is not None else None
+    witness = _canonical_cover_witness(family.members, K, range(n))
+    return VerifyResult(witness is None, witness, naive)
 
 
 def _canonical_cover_witness(members, K, targets) -> Witness | None:
-    """First union of <= K members, in canonical order, that covers a
-    member h in `targets` outside the union; None if there is none."""
-    for S in _index_subsets(len(members), K):
-        u = 0
-        for j in S:
-            u |= members[j]
-        in_s = set(S)
-        for h in targets:
-            if h not in in_s and members[h] & ~u == 0:
-                return Witness("cover", j2=S, covered=h)
+    """First union of <= K members, in canonical order (size, then lex),
+    that covers a nonempty member h in `targets` outside the union; None
+    if there is none.
+
+    Each target h is searched on its own.  Every other member is projected
+    onto h (its intersection with h, a mask of at most |h| bits), and of
+    equal nonzero projections only the first index is kept: a cover member
+    swapped for an earlier index with the same projection still covers h,
+    at the same size and no later in lex order.  For k = 1, 2, ...
+    `_lex_first_cover` then finds h's lex-first minimum cover.  The
+    witness is the least (|S|, S) over the targets, ties going to the
+    earlier target, so sizes above the best found so far are skipped.
+    """
+    best, best_h = None, None
+    for h in targets:
+        target = members[h]
+        first: dict[int, int] = {}
+        # once a single member j covers, only members before j can do better
+        stop = best[0] if best and len(best) == 1 else len(members)
+        for j, mask in enumerate(members[:stop]):
+            if (local := mask & target) and j != h:
+                first.setdefault(local, j)
+        reps = list(first.items())
+        widest = max((local.bit_count() for local in first), default=0)
+        for k in range(1, min(K, len(best) if best else K) + 1):
+            S = _lex_first_cover(reps, target, k, 0, widest)
+            if S is not None:
+                if best is None or (k, S) < (len(best), best):
+                    best, best_h = S, h
+                break
+    return None if best is None else Witness("cover", j2=best, covered=best_h)
+
+
+def _lex_first_cover(reps, residual, k, pos, widest):
+    """Lex-first k indices from reps[pos:] ((projection, index) pairs in
+    index order) whose projections cover `residual`, each strictly
+    shrinking it in turn, or None.  Every member of a minimum cover shrinks
+    the residual whatever the order, so this prunes no minimum cover; nor
+    does giving up once the residual has more bits than k projections of
+    at most `widest` bits can hold."""
+    if residual.bit_count() > k * widest:
+        return None
+    for ci in range(pos, len(reps)):
+        mask, j = reps[ci]
+        nr = residual & ~mask
+        if nr == residual:
+            continue
+        if k == 1:
+            if not nr:
+                return (j,)
+        else:
+            sub = _lex_first_cover(reps, nr, k - 1, ci + 1, widest)
+            if sub is not None:
+                return (j, *sub)
     return None
 
 

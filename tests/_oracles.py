@@ -44,6 +44,26 @@ def naive_cff(members, K):
     return True, None
 
 
+def naive_cover_witness(members, K, targets):
+    """Canonical cover witness from its definition: of all pairs (S, h)
+    with 1 <= |S| <= K, h in targets, h not in S and member h inside the
+    union over S, the least by (|S|, S, position of h in targets).
+    Returns (S, h) or None."""
+    targets = list(targets)
+    hits = []
+    for S in all_index_subsets(len(members), K):
+        u = 0
+        for j in S:
+            u |= members[j]
+        for pos, h in enumerate(targets):
+            if h not in S and members[h] | u == u:
+                hits.append((len(S), S, pos, h))
+    if not hits:
+        return None
+    _, S, _, h = min(hits)
+    return S, h
+
+
 def naive_ud_code(rows, K):
     """All-pairs comparison of per-coordinate symbol sets."""
     m = len(rows[0])

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from acckit.arrays import CodeBook
 from acckit.families import SetFamily, Universe
+
+# Property tests are deterministic and bounded: a fixed derivation of the
+# examples from each test's source, no per-example deadline, and a few
+# hundred examples at most.
+settings.register_profile("acckit", derandomize=True, deadline=None,
+                          max_examples=200)
+settings.load_profile("acckit")
 
 # The canonical twelve-row codebook and its twelve-set family, in matching
 # order (flattened element (i, l) -> (i-1)*3 + l).

@@ -136,6 +136,16 @@ def test_lemma1_bounds_strength3():
     assert rep.bounds == (2, 1, 3)
 
 
+def test_max_coincidences_reports_first_pair_over_bound():
+    from acckit.arrays import _max_coincidences
+    a = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    assert _max_coincidences(a, None, 1) == (3, (0, 1, 2))
+    assert _max_coincidences(a, None, 3) == (3, None)
+    b = np.array([[1, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
+    assert _max_coincidences(a[:1], b, 1) == (3, (0, 1, 2))
+    assert _max_coincidences(a, b, 3) == (4, (1, 1, 4))
+
+
 def test_builds_deterministic():
     a = build_W(GF(5), 2, 5).rows
     b = build_W(GF(5), 2, 5).rows

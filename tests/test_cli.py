@@ -155,6 +155,19 @@ def test_family_verify_subfamily_and_sampled(tmp_path, capsys):
     assert json.loads(out.splitlines()[-1])["kind"] == "cover"
 
 
+def test_family_verify_rejects_bad_subfamily(tmp_path, capsys):
+    from acckit.fixturegen import EXAMPLE1_SETS
+    fam = tmp_path / "ex1.json"
+    fam.write_text(json.dumps({"universe": {"v": 9, "product": None},
+                               "sets": EXAMPLE1_SETS}))
+    for spec, message in (("0,99", "subfamily"), ("0,0", "subfamily"),
+                          ("0-3,2", "subfamily"), ("0,5-2", "backwards")):
+        code, out, err = run_cli(capsys, "family", "verify", "--family",
+                                 str(fam), "--prop", "cff", "--K", "2",
+                                 "--subfamily", spec)
+        assert code == 2 and out == "" and message in err, spec
+
+
 def test_acc_roundtrip_via_cli(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "preset", "run", "example1", "--out-dir",
                          str(tmp_path))

@@ -1,10 +1,13 @@
 import json
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import event, given, strategies as st
 
 import acckit.families as fam_mod
+from acckit.accs import acc_to_family, build_theorem2_acc
 from acckit.arrays import CodeBook, build_U, build_W
 from acckit.families import (FamilyError, SetFamily, Universe, Witness,
                              check_distance_condition, family_from_incidence,
@@ -14,7 +17,7 @@ from acckit.families import (FamilyError, SetFamily, Universe, Witness,
                              sample_udf, save_family)
 from acckit.gf import GF
 
-from _oracles import naive_cff, naive_ud_code, naive_udf
+from _oracles import naive_cff, naive_cover_witness, naive_ud_code, naive_udf
 
 
 def random_family(rng, n, v, max_size=None):
@@ -224,6 +227,14 @@ def test_cff_example1_witness(example1_family):
     assert example1_family.member_elements(9) == (0, 4, 7)
 
 
+def test_cff_witness_tie_goes_to_earlier_target():
+    # {0,4} u {1,3} is the least union covering {0,1} and also {0,3}; no
+    # single member covers either, so the witness names the earlier one.
+    fam = SetFamily.from_sets(Universe(5), [[0, 4], [1, 3], [0, 1], [0, 3]])
+    assert is_k_cff(fam, 2).witness == Witness("cover", j2=(0, 1), covered=2)
+    assert naive_cover_witness(fam.members, 2, range(4)) == ((0, 1), 2)
+
+
 def test_cff_first_nine_subfamily(example1_family):
     assert is_partial_cff(example1_family, range(9), 2).ok
     assert not is_k_cff(example1_family, 2).ok
@@ -269,6 +280,70 @@ def test_udf_monotonicity_on_corpus():
         for K in (1, 2):
             if is_k_udf(fam, K + 1).ok:
                 assert is_k_udf(fam, K).ok
+
+
+def _pair(witness):
+    return None if witness is None else (witness.j2, witness.covered)
+
+
+@st.composite
+def cover_instances(draw):
+    """Small families (n <= 14, v <= 12) with K <= 4; members have at most
+    `width` elements, so sparse families that pass are drawn too."""
+    v = draw(st.integers(1, 12))
+    width = draw(st.integers(1, v))
+    sets = draw(st.lists(st.sets(st.integers(0, v - 1), min_size=1,
+                                 max_size=width), min_size=1, max_size=14))
+    return SetFamily.from_sets(Universe(v), sets), draw(st.integers(1, 4))
+
+
+@given(cover_instances(), st.data())
+def test_cover_kernel_matches_oracle(instance, data):
+    fam, K = instance
+    members, n = fam.members, fam.n
+    res = is_k_cff(fam, K)
+    event("K-CFF" if res.ok else "covered")
+    assert res.ok == naive_cff(members, K)[0]
+    assert _pair(res.witness) == naive_cover_witness(members, K, range(n))
+    assert res.ok or replay_witness(fam, res.witness)
+    indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 unique=True))
+    sub = [members[j] for j in indices]
+    part = is_partial_cff(fam, indices, K)
+    assert _pair(part.witness) == naive_cover_witness(sub, K, range(len(sub)))
+    assert part.ok == (part.witness is None)
+    a = data.draw(st.integers(0, n - 1))
+    tail = fam_mod._canonical_cover_witness(members, K, range(a, n))
+    assert _pair(tail) == naive_cover_witness(members, K, range(a, n))
+
+
+def test_cff_planted_cover_at_scale():
+    # example4's output (357 members, K = 3) plus one member that a pair of
+    # others covers: three elements of member 350 and one element in each
+    # of blocks 0 and 1.  The canonical witness is a pair that uses it.
+    g = SetFamily.from_sets(Universe(7), [[0, 1, 2, 3], [0, 4, 5, 6]])
+    singles = SetFamily.from_sets(Universe(7), [[l] for l in range(7)])
+    acc, _ = build_theorem2_acc(build_U(GF(7), 3, 7), singles, g, 3)
+    out = acc_to_family(acc)
+    assert out.n == 357 and out.member_elements(350) == (21, 25, 26, 27)
+    planted = SetFamily.from_sets(out.universe, [[0, 8, 21, 25, 26]])
+    fam = SetFamily(out.universe, out.members + planted.members)
+    res = is_k_cff(fam, 3)
+    assert not res.ok
+    assert res.witness == Witness("cover", j2=(6, 357), covered=350)
+    assert res.checked == 358 * sum(math.comb(357, k) for k in (1, 2, 3))
+    assert replay_witness(fam, res.witness)
+
+
+def test_subfamily_rejects_bad_indices(example1_family):
+    for bad in ([0, 12], [-1, 0], [0, 0], [3, 5, 3]):
+        with pytest.raises(FamilyError):
+            example1_family.subfamily(bad)
+        with pytest.raises(FamilyError):
+            is_partial_cff(example1_family, bad, 2)
+    sub = example1_family.subfamily([11, 0])
+    assert sub.members == [example1_family.members[11],
+                           example1_family.members[0]]
 
 
 def test_cff_size_guard():
