@@ -261,6 +261,9 @@ def cmd_acc_compare(args) -> int:
 def cmd_attack(args) -> int:
     acc = accs.load_acc(args.acc)
     users = _parse_indices(args.coalition, base=1)
+    outside = [j + 1 for j in users if not 0 <= j < acc.n]
+    if outside:
+        raise ValueError(f"user numbers must lie in 1..{acc.n}, got {outside[0]}")
     fp = collusion.and_attack(acc, users)
     payload = {"fingerprint": fp.bitstring(),
                "coalition": [j + 1 for j in fp.coalition]}

@@ -147,6 +147,7 @@ class ScanReport:
     seed: int | None = None
     witness: Witness | None = None
     note: str = SCAN_NOTE
+    sampler: str | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -159,6 +160,7 @@ class ScanReport:
             d["trials"] = self.trials
             d["violations"] = self.violations
             d["seed"] = self.seed
+            d["sampler"] = self.sampler
         if self.witness is not None:
             d["witness"] = self.witness.to_json_dict()
         return d
@@ -189,5 +191,6 @@ def scan_remark6(gf: GF, t: int, m: int, K: int, mode: str = "exhaustive",
         rep: SampleReport = sample_ud_code(book, K, trials, seed)
         return ScanReport(s=gf.s, t=t, m=m, k=K, rows=book.M, mode="sampled",
                           ok=rep.ok, checked=rep.trials, trials=rep.trials,
-                          violations=rep.violations, seed=seed, witness=rep.witness)
+                          violations=rep.violations, seed=seed, witness=rep.witness,
+                          sampler=rep.sampler)
     raise CollusionError(f"unknown mode {mode!r}")

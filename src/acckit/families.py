@@ -511,6 +511,14 @@ def check_distance_condition(book: CodeBook, K: int) -> bool:
 # Seeded samplers for instances beyond exhaustive reach
 # ---------------------------------------------------------------------------
 
+# Version of the random stream behind every SampleReport: a seed reproduces
+# a report only under the same sampler version.
+SAMPLER = "batched-v1"
+# Trials per block.  Every block is drawn in full and the last one is cut
+# to length, so trial t's draws do not depend on the number of trials.
+_BLOCK = 4096
+
+
 @dataclass(frozen=True)
 class SampleReport:
     property: str
@@ -519,6 +527,7 @@ class SampleReport:
     violations: int
     seed: int
     witness: Witness | None = None
+    sampler: str = SAMPLER
 
     @property
     def ok(self) -> bool:
@@ -529,14 +538,11 @@ class SampleReport:
 
     def to_json_dict(self) -> dict:
         d = {"property": self.property, "k": self.k, "trials": self.trials,
-             "violations": self.violations, "seed": self.seed, "ok": self.ok}
+             "violations": self.violations, "seed": self.seed, "ok": self.ok,
+             "sampler": self.sampler}
         if self.witness is not None:
             d["witness"] = self.witness.to_json_dict()
         return d
-
-
-def _random_subset(rng, n, kmax):
-    return tuple(sorted(rng.sample(range(n), rng.randint(1, min(kmax, n)))))
 
 
 def sample_udf(family: SetFamily, K: int, trials: int, seed: int = 0) -> SampleReport:
@@ -544,74 +550,149 @@ def sample_udf(family: SetFamily, K: int, trials: int, seed: int = 0) -> SampleR
     _require_family(family, K)
     if family.n < 2:
         raise FamilyError("union sampling needs at least 2 members")
-    rng = random.Random(seed)
-    members = family.members
-    n = family.n
-    violations = 0
-    witness = None
-    for _ in range(trials):
-        j1 = _random_subset(rng, n, K)
-        j2 = _random_subset(rng, n, K)
-        while j2 == j1:
-            j2 = _random_subset(rng, n, K)
-        u1 = 0
-        for j in j1:
-            u1 |= members[j]
-        u2 = 0
-        for j in j2:
-            u2 |= members[j]
-        if u1 == u2:
-            violations += 1
-            if witness is None:
-                witness = Witness("duplicate-union", j1, j2)
-    return SampleReport("union-distinct", K, trials, violations, seed, witness)
+    return _sample("union-distinct", "duplicate-union",
+                   _packed_rows(family.members, family.universe.v),
+                   K, min(K, family.n), trials, seed)
 
 
 def sample_cff(family: SetFamily, K: int, trials: int, seed: int = 0) -> SampleReport:
-    """Random (subset, target) cover checks."""
+    """Random (subset, target) cover checks.  Subsets hold at most
+    min(K, n - 1) members, so some target always lies outside them."""
     _require_family(family, K)
     if family.n < 2:
         raise FamilyError("cover sampling needs at least 2 members")
-    rng = random.Random(seed)
-    members = family.members
-    n = family.n
-    violations = 0
-    witness = None
-    for _ in range(trials):
-        S = _random_subset(rng, n, K)
-        h = rng.randrange(n)
-        while h in S:
-            h = rng.randrange(n)
-        u = 0
-        for j in S:
-            u |= members[j]
-        if members[h] & ~u == 0:
-            violations += 1
-            if witness is None:
-                witness = Witness("cover", j2=S, covered=h)
-    return SampleReport("cover-free", K, trials, violations, seed, witness)
+    return _sample("cover-free", "cover",
+                   _packed_rows(family.members, family.universe.v),
+                   K, min(K, family.n - 1), trials, seed)
 
 
 def sample_ud_code(book: CodeBook, K: int, trials: int, seed: int = 0) -> SampleReport:
     """Random pairs of distinct <= K row-index sets; count equal
-    per-coordinate symbol sets."""
+    per-coordinate symbol sets.  Row j is sampled as its one-hot set
+    {i*s + row[j][i]}: the union of those sets over J holds exactly the
+    per-coordinate symbol sets of J."""
     if book.M < 2:
         raise FamilyError("sampling needs at least 2 rows")
+    if K < 1:
+        raise FamilyError(f"K must be >= 1, got {K}")
+    s = book.s
+    masks = [sum(1 << (i * s + x) for i, x in enumerate(row))
+             for row in book.row_tuples()]
+    return _sample("code-union-distinct", "duplicate-symbol-set",
+                   _packed_rows(masks, book.m * s), K, min(K, book.M),
+                   trials, seed)
+
+
+def _packed_rows(masks, v: int) -> np.ndarray:
+    """Masks as rows of ceil(v / 64) little-endian uint64 words (word w
+    holds bits 64w..64w+63), followed by one all-zero padding row.  Each
+    mask is written straight into one buffer, so packing needs no more
+    memory than the result."""
+    width = 8 * -(-v // 64)
+    buf = bytearray(width * (len(masks) + 1))
+    for j, mask in enumerate(masks):
+        buf[j * width:(j + 1) * width] = mask.to_bytes(width, "little")
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks) + 1, -1)
+
+
+def _sample(prop: str, kind: str, packed: np.ndarray, K: int, kmax: int,
+            trials: int, seed: int) -> SampleReport:
+    """The one sampler engine, over the n member rows of `packed` and its
+    zero padding row n.
+
+    Trials run in blocks drawn by `_draw_block` and checked all at once:
+    kind "cover" counts a violation when member h lies inside the union
+    over j1, the union kinds when the unions over j1 and j2 are equal.
+    The witness is the first violation in trial order.
+    """
+    if trials < 1:
+        raise FamilyError(f"trials must be >= 1, got {trials}")
+    n = len(packed) - 1
     rng = random.Random(seed)
-    rows = book.row_tuples()
-    n = book.M
-    violations = 0
-    witness = None
-    for _ in range(trials):
-        j1 = _random_subset(rng, n, K)
-        j2 = _random_subset(rng, n, K)
-        while j2 == j1:
-            j2 = _random_subset(rng, n, K)
-        if _symbol_set_key(rows, j1) == _symbol_set_key(rows, j2):
-            violations += 1
-            if witness is None:
-                witness = Witness("duplicate-symbol-set", j1, j2)
-    return SampleReport("code-union-distinct", K, trials, violations, seed, witness)
+    violations, witness = 0, None
+    for start in range(0, trials, _BLOCK):
+        j1, other = _draw_block(rng, n, kmax, kind)
+        u1 = _unions(packed, j1)
+        if kind == "cover":
+            hit = ~(packed[other] & ~u1).any(axis=1)
+        else:
+            hit = (u1 == _unions(packed, other)).all(axis=1)
+        hits = np.flatnonzero(hit[:trials - start])
+        violations += len(hits)
+        if witness is None and len(hits):
+            t = hits[0]
+            S = tuple(j for j in j1[t].tolist() if j < n)
+            if kind == "cover":
+                witness = Witness(kind, j2=S, covered=int(other[t]))
+            else:
+                witness = Witness(kind, S, tuple(j for j in other[t].tolist()
+                                                 if j < n))
+    return SampleReport(prop, K, trials, violations, seed, witness)
+
+
+def _draw_block(rng, n: int, kmax: int, kind: str):
+    """One block of `_BLOCK` trials: index sets j1 (`_draw_sets`) and, per
+    trial, a target h uniform outside j1 (kind "cover") or a second index
+    set j2 != j1 (the union kinds)."""
+    j1 = _draw_sets(rng, n, kmax, _BLOCK)
+    if kind == "cover":
+        return j1, _rejection(
+            lambda rows: _uniform(rng, n, len(rows)),
+            lambda rows, h: (j1[rows] == h[:, None]).any(axis=1), _BLOCK)
+    return j1, _rejection(
+        lambda rows: _draw_sets(rng, n, kmax, len(rows)),
+        lambda rows, j2: (j1[rows] == j2).all(axis=1), _BLOCK)
+
+
+def _draw_sets(rng, n: int, kmax: int, count: int) -> np.ndarray:
+    """`count` index sets as sorted rows of a (count, kmax) array padded
+    with n: the size is uniform on 1..kmax and, given the size, the set is
+    uniform, since rows with a repeated index are redrawn."""
+    size = _uniform(rng, kmax, count) + 1
+
+    def draw(rows):
+        idx = _uniform(rng, n, len(rows) * kmax).reshape(len(rows), kmax)
+        idx[np.arange(kmax) >= size[rows, None]] = n
+        idx.sort(axis=1)
+        return idx
+
+    return _rejection(
+        draw, lambda rows, idx: ((idx[:, 1:] == idx[:, :-1])
+                                 & (idx[:, 1:] < n)).any(axis=1), count)
+
+
+def _rejection(draw, bad, count: int) -> np.ndarray:
+    """draw(rows) for rows 0..count-1; the rows for which bad(rows, values)
+    holds, and only those, are redrawn until none is left, so each row is
+    uniform on its values that are not bad."""
+    rows = np.arange(count)
+    out = draw(rows)
+    rows = rows[bad(rows, out)]
+    while len(rows):
+        out[rows] = draw(rows)
+        rows = rows[bad(rows, out[rows])]
+    return out
+
+
+def _uniform(rng, m: int, count: int) -> np.ndarray:
+    """`count` integers uniform on [0, m) from rng's bytes: 32-bit words
+    below the largest multiple of m are kept and reduced mod m."""
+    limit = (1 << 32) // m * m
+    out = np.empty(count, dtype=np.int64)
+    filled = 0
+    while filled < count:
+        x = np.frombuffer(rng.randbytes(4 * (count - filled)), dtype="<u4")
+        x = x[x <= limit - 1]  # limit itself may be 2**32, past uint32
+        out[filled:filled + len(x)] = x % m
+        filled += len(x)
+    return out
+
+
+def _unions(packed: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    u = packed[sets[:, 0]]
+    for c in range(1, sets.shape[1]):
+        u |= packed[sets[:, c]]
+    return u
 
 
 def _require_family(family: SetFamily, K: int) -> None:

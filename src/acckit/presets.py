@@ -226,7 +226,7 @@ def _augmented_output_checks(cert, acc, product, K, exhaustive_cff):
     cert.add("output family union-distinct (sampled)", "sampled", srep.ok,
              required=False,
              params={"trials": srep.trials, "violations": srep.violations,
-                     "seed": srep.seed})
+                     "seed": srep.seed, "sampler": srep.sampler})
 
 
 def _sampled_note(acc: AndAcc) -> str:

@@ -261,3 +261,49 @@ def test_json_output_deterministic(tmp_path, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_attack_rejects_user_numbers_outside_range(tmp_path, capsys):
+    run_cli(capsys, "preset", "run", "example1", "--out-dir", str(tmp_path))
+    acc = str(tmp_path / "example1_acc.json")
+    for spec in ("0", "13", "2,13"):
+        code, out, err = run_cli(capsys, "attack", "--acc", acc,
+                                 "--coalition", spec)
+        assert code == 2 and out == "", spec
+        assert "user numbers must lie in 1..12" in err, spec
+    code, _, _ = run_cli(capsys, "attack", "--acc", acc, "--coalition", "1,12")
+    assert code == 0
+
+
+def test_sampled_modes_reject_nonpositive_trials(tmp_path, capsys):
+    run_cli(capsys, "preset", "run", "example1", "--out-dir", str(tmp_path))
+    acc = str(tmp_path / "example1_acc.json")
+    for prop in ("udf", "cff"):
+        for trials in ("-5", "0"):
+            code, out, err = run_cli(capsys, "acc", "verify", "--acc", acc,
+                                     "--prop", prop, "--mode", "sampled",
+                                     "--trials", trials, "--json")
+            assert code == 2 and out == "" and "trials" in err, (prop, trials)
+    code, out, err = run_cli(capsys, "scan-remark6", "--field", "7", "--t", "3",
+                             "--m", "7", "--K", "3", "--mode", "sampled",
+                             "--trials", "0", "--json")
+    assert code == 2 and out == "" and "trials" in err
+
+
+def test_family_verify_sampled_cff_with_k_at_least_n(tmp_path, capsys):
+    fam = tmp_path / "two.json"
+    fam.write_text(json.dumps({"universe": {"v": 3, "product": None},
+                               "sets": [[0], [1]]}))
+    code, out, _ = run_cli(capsys, "family", "verify", "--family", str(fam),
+                           "--prop", "cff", "--K", "2", "--mode", "sampled",
+                           "--trials", "100", "--json")
+    assert code == 0
+    assert json.loads(out)["trials"] == 100
+
+
+def test_sampled_json_names_the_sampler(capsys):
+    code, out, _ = run_cli(capsys, "scan-remark6", "--field", "7", "--t", "3",
+                           "--m", "7", "--K", "3", "--mode", "sampled",
+                           "--trials", "100", "--json")
+    assert code in (0, 1)
+    assert json.loads(out)["sampler"] == "batched-v1"

@@ -1,11 +1,17 @@
+import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, strategies as st
 
+import acckit
 import acckit.families as fam_mod
 from acckit.accs import acc_to_family, build_theorem2_acc
 from acckit.arrays import CodeBook, build_U, build_W
@@ -459,3 +465,177 @@ def test_samplers_reject_degenerate_families():
         sample_udf(lone, 2, 10, seed=0)
     with pytest.raises(FamilyError):
         sample_cff(lone, 2, 10, seed=0)
+
+
+def test_samplers_reject_nonpositive_trials_and_k(example1_family, example2_book):
+    for trials in (0, -5):
+        for sample, obj in ((sample_udf, example1_family),
+                            (sample_cff, example1_family),
+                            (sample_ud_code, example2_book)):
+            with pytest.raises(FamilyError, match="trials"):
+                sample(obj, 2, trials, seed=0)
+    for sample, obj in ((sample_udf, example1_family),
+                        (sample_cff, example1_family),
+                        (sample_ud_code, example2_book)):
+        with pytest.raises(FamilyError, match="K must be"):
+            sample(obj, 0, 10, seed=0)
+
+
+def test_sample_cff_caps_cover_size_below_n():
+    # K >= n: a subset of all n members would leave no target outside it
+    rep = sample_cff(SetFamily.from_sets(Universe(3), [[0], [1]]), 2, 100)
+    assert rep.ok and rep.trials == 100 and rep.k == 2
+    fam = SetFamily.from_sets(Universe(3), [[0], [0, 1], [1]])
+    rep = sample_cff(fam, 5, 100, seed=1)
+    assert not rep.ok and replay_witness(fam, rep.witness)
+    assert len(rep.witness.j2) <= 2
+
+
+def test_sampler_reports_carry_sampler_version(example1_family, example2_book):
+    for rep in (sample_udf(example1_family, 2, 10),
+                sample_cff(example1_family, 2, 10),
+                sample_ud_code(example2_book, 2, 10)):
+        assert rep.sampler == fam_mod.SAMPLER == "batched-v1"
+        assert rep.to_json_dict()["sampler"] == "batched-v1"
+
+
+def _within(count, total, p, se_count=5):
+    """count out of total Bernoulli(p) trials lies within se_count standard
+    errors of its mean."""
+    return abs(count - total * p) <= se_count * math.sqrt(total * p * (1 - p))
+
+
+def test_sampler_draws_are_uniform():
+    # n = 5 members, index sets of 1..3 of them, 5 blocks of each kind
+    n, kmax, blocks = 5, 3, 5
+    rng = random.Random(11)
+    covers = [fam_mod._draw_block(rng, n, kmax, "cover") for _ in range(blocks)]
+    pairs = [fam_mod._draw_block(rng, n, kmax, "duplicate-union")
+             for _ in range(blocks)]
+    sets = np.concatenate([j1 for j1, _ in covers + pairs]
+                          + [j2 for _, j2 in pairs])
+    drawn = [tuple(j for j in row if j < n) for row in sets.tolist()]
+    total = len(drawn)
+    for S in drawn:
+        assert list(S) == sorted(set(S)) and 1 <= len(S) <= kmax
+    sizes = [len(S) for S in drawn]
+    for k in range(1, kmax + 1):
+        assert _within(sizes.count(k), total, 1 / kmax), k
+    # index marginals: P(i in S) = E|S| / n = 2/5
+    for i in range(n):
+        assert _within(sum(i in S for S in drawn), total, 2 / n), i
+    # given |S| = 2, each of the C(5, 2) sets is equally likely
+    twos = [S for S in drawn if len(S) == 2]
+    for S in itertools.combinations(range(n), 2):
+        assert _within(twos.count(S), len(twos), 1 / 10), S
+    # targets lie outside S and are uniform overall, by symmetry
+    for j1, h in covers:
+        assert not (j1 == h[:, None]).any()
+    hs = np.concatenate([h for _, h in covers])
+    for i in range(n):
+        assert _within(int((hs == i).sum()), len(hs), 1 / n), i
+    # the second set of a pair differs from the first in every trial
+    for j1, j2 in pairs:
+        assert (j1 != j2).any(axis=1).all()
+
+
+def test_sample_udf_violation_rate_matches_exact_probability():
+    # The six index sets of size <= 2 over three members are equally likely:
+    # size 1 or 2 with probability 1/2 each, then one of three sets.  Their
+    # unions fall in three classes:
+    #   {0}, {2}, {0,2} -> {0,1};   {1} -> {2};   {0,1}, {1,2} -> {0,1,2}.
+    # Given j1, j2 is uniform on the other five sets, so
+    #   P(violation) = (3*2 + 1*0 + 2*1) / (6*5) = 4/15.
+    fam = SetFamily.from_sets(Universe(6), [[0, 1], [2], [0, 1]])
+    sets = [S for k in (1, 2) for S in itertools.combinations(range(3), k)]
+    unions = [frozenset().union(*({0: {0, 1}, 1: {2}, 2: {0, 1}}[j] for j in S))
+              for S in sets]
+    equal = sum(a == b for i, a in enumerate(unions)
+                for j, b in enumerate(unions) if i != j)
+    p = equal / (6 * 5)
+    assert equal == 8 and math.isclose(p, 4 / 15)
+    trials = 20_000
+    rep = sample_udf(fam, 2, trials, seed=3)
+    assert _within(rep.violations, trials, p)
+
+
+@st.composite
+def small_families(draw):
+    v = draw(st.integers(1, 8))
+    sets = draw(st.lists(st.sets(st.integers(0, v - 1), min_size=1),
+                         min_size=2, max_size=8))
+    return SetFamily.from_sets(Universe(v), sets), draw(st.integers(1, 3))
+
+
+@st.composite
+def small_codebooks(draw):
+    s, m = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, s - 1), min_size=m,
+                                  max_size=m), min_size=2, max_size=8))
+    return CodeBook(s=s, m=m, rows=np.array(rows)), draw(st.integers(1, 3))
+
+
+@given(small_families(), small_codebooks(), st.integers(0, 2**32))
+def test_samplers_clean_on_certified_instances(instance, code, seed):
+    fam, K = instance
+    for sample, naive in ((sample_udf, naive_udf), (sample_cff, naive_cff)):
+        rep = sample(fam, K, 300, seed)
+        if naive(fam.members, K)[0]:
+            assert rep.ok
+        assert rep.ok or replay_witness(fam, rep.witness)
+    book, K = code
+    rep = sample_ud_code(book, K, 300, seed)
+    if naive_ud_code(book.row_tuples(), K)[0]:
+        assert rep.ok
+    event("code violated" if not rep.ok else "code clean")
+    assert rep.ok or replay_witness(book, rep.witness)
+
+
+def test_sampler_reports_are_prefix_stable():
+    # member 29 is the union of members 0 and 1, so a violation is rare
+    # (about one trial in 8,700); pick a seed whose first violation falls
+    # in the second block, then cut the run around both block boundaries
+    block = fam_mod._BLOCK
+    fam = SetFamily.from_sets(Universe(29), [[i] for i in range(29)] + [[0, 1]])
+    seed = next(s for s in range(100)
+                if sample_udf(fam, 2, block, s).ok
+                and not sample_udf(fam, 2, 2 * block, s).ok)
+    full = sample_udf(fam, 2, 3 * block, seed)
+    previous = 0
+    for trials in (1, block - 1, block, block + 1, 2 * block - 1, 2 * block,
+                   2 * block + 7, 3 * block):
+        rep = sample_udf(fam, 2, trials, seed)
+        assert previous <= rep.violations <= full.violations
+        assert rep.witness in (None, full.witness)
+        assert (rep.witness is None) == (rep.violations == 0)
+        previous = rep.violations
+    assert replay_witness(fam, full.witness)
+    # the witness is the first violation: the shortest run that has one
+    # already reports the witness of a long run
+    dense = SetFamily.from_sets(Universe(6), [[0, 1], [2], [0, 1]])
+    first = next(t for t in range(1, 100) if not sample_udf(dense, 2, t).ok)
+    short = sample_udf(dense, 2, first)
+    long = sample_udf(dense, 2, 3 * block)
+    assert short.violations == 1 and long.violations > 1
+    assert short.witness == long.witness
+
+
+def test_samplers_do_not_import_numpy_random():
+    # numpy.random alone adds several MB of resident memory
+    script = (
+        "import sys\n"
+        "import acckit\n"
+        "from acckit.arrays import CodeBook\n"
+        "from acckit.families import (SetFamily, Universe, sample_cff,\n"
+        "                             sample_ud_code, sample_udf)\n"
+        "fam = SetFamily.from_sets(Universe(4), [[0], [1], [2, 3]])\n"
+        "sample_udf(fam, 2, 10)\n"
+        "sample_cff(fam, 2, 10)\n"
+        "sample_ud_code(CodeBook(s=2, m=2, rows=[[0, 1], [1, 0]]), 2, 10)\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n")
+    src = str(Path(acckit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
