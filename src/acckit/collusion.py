@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from .accs import AndAcc
 from .arrays import build_W
 from .codec import bits_to_str, str_to_bits
-from .families import SampleReport, VerifyResult, Witness, is_k_ud_code, sample_ud_code
+from .families import (SAMPLER, SampleReport, VerifyResult, Witness,
+                       is_k_ud_code, sample_ud_code)
 from .gf import GF
 
 
@@ -147,7 +148,6 @@ class ScanReport:
     seed: int | None = None
     witness: Witness | None = None
     note: str = SCAN_NOTE
-    sampler: str | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -160,7 +160,7 @@ class ScanReport:
             d["trials"] = self.trials
             d["violations"] = self.violations
             d["seed"] = self.seed
-            d["sampler"] = self.sampler
+            d["sampler"] = SAMPLER
         if self.witness is not None:
             d["witness"] = self.witness.to_json_dict()
         return d
@@ -191,6 +191,5 @@ def scan_remark6(gf: GF, t: int, m: int, K: int, mode: str = "exhaustive",
         rep: SampleReport = sample_ud_code(book, K, trials, seed)
         return ScanReport(s=gf.s, t=t, m=m, k=K, rows=book.M, mode="sampled",
                           ok=rep.ok, checked=rep.trials, trials=rep.trials,
-                          violations=rep.violations, seed=seed, witness=rep.witness,
-                          sampler=rep.sampler)
+                          violations=rep.violations, seed=seed, witness=rep.witness)
     raise CollusionError(f"unknown mode {mode!r}")

@@ -647,18 +647,20 @@ def _draw_block(rng, n: int, kmax: int, kind: str):
 def _draw_sets(rng, n: int, kmax: int, count: int) -> np.ndarray:
     """`count` index sets as sorted rows of a (count, kmax) array padded
     with n: the size is uniform on 1..kmax and, given the size, the set is
-    uniform, since rows with a repeated index are redrawn."""
+    uniform.  Sets are drawn by Floyd's algorithm, one column per step j
+    from n - kmax to n - 1: a row of size k joins at step n - k, draws t
+    uniform on 0..j and takes t, or j if t is already in the row.  That
+    needs exactly one draw per member, even at kmax = n."""
     size = _uniform(rng, kmax, count) + 1
-
-    def draw(rows):
-        idx = _uniform(rng, n, len(rows) * kmax).reshape(len(rows), kmax)
-        idx[np.arange(kmax) >= size[rows, None]] = n
-        idx.sort(axis=1)
-        return idx
-
-    return _rejection(
-        draw, lambda rows, idx: ((idx[:, 1:] == idx[:, :-1])
-                                 & (idx[:, 1:] < n)).any(axis=1), count)
+    idx = np.full((count, kmax), n, dtype=np.int64)
+    for c in range(kmax):
+        j = n - kmax + c
+        rows = np.flatnonzero(size >= kmax - c)
+        t = _uniform(rng, j + 1, len(rows))
+        taken = (idx[rows, :c] == t[:, None]).any(axis=1)
+        idx[rows, c] = np.where(taken, j, t)
+    idx.sort(axis=1)
+    return idx
 
 
 def _rejection(draw, bad, count: int) -> np.ndarray:

@@ -505,9 +505,11 @@ def _within(count, total, p, se_count=5):
     return abs(count - total * p) <= se_count * math.sqrt(total * p * (1 - p))
 
 
-def test_sampler_draws_are_uniform():
-    # n = 5 members, index sets of 1..3 of them, 5 blocks of each kind
-    n, kmax, blocks = 5, 3, 5
+@pytest.mark.parametrize("kmax", [3, 4])
+def test_sampler_draws_are_uniform(kmax):
+    # n = 5 members, index sets of 1..kmax of them, 5 blocks of each kind;
+    # kmax = 4 = n - 1 is the largest cover subset
+    n, blocks = 5, 5
     rng = random.Random(11)
     covers = [fam_mod._draw_block(rng, n, kmax, "cover") for _ in range(blocks)]
     pairs = [fam_mod._draw_block(rng, n, kmax, "duplicate-union")
@@ -521,9 +523,10 @@ def test_sampler_draws_are_uniform():
     sizes = [len(S) for S in drawn]
     for k in range(1, kmax + 1):
         assert _within(sizes.count(k), total, 1 / kmax), k
-    # index marginals: P(i in S) = E|S| / n = 2/5
+    # index marginals: P(i in S) = E|S| / n = (kmax + 1) / (2n)
     for i in range(n):
-        assert _within(sum(i in S for S in drawn), total, 2 / n), i
+        assert _within(sum(i in S for S in drawn), total,
+                       (kmax + 1) / (2 * n)), i
     # given |S| = 2, each of the C(5, 2) sets is equally likely
     twos = [S for S in drawn if len(S) == 2]
     for S in itertools.combinations(range(n), 2):
@@ -537,6 +540,37 @@ def test_sampler_draws_are_uniform():
     # the second set of a pair differs from the first in every trial
     for j1, j2 in pairs:
         assert (j1 != j2).any(axis=1).all()
+
+
+def test_draw_sets_at_kmax_equal_to_n():
+    # every index set of n = 4 members is drawn with probability
+    # 1 / (kmax * C(n, |S|)), and each member costs exactly one 32-bit draw
+    class Counting(random.Random):
+        words = 0
+
+        def randbytes(self, k):
+            self.words += k // 4
+            return super().randbytes(k)
+
+    n, count = 4, 40_000
+    rng = Counting(2)
+    drawn = [tuple(j for j in row if j < n)
+             for row in fam_mod._draw_sets(rng, n, n, count).tolist()]
+    assert rng.words < 1.01 * count * (1 + (n + 1) / 2)
+    for k in range(1, n + 1):
+        for S in itertools.combinations(range(n), k):
+            assert _within(drawn.count(S), count, 1 / (n * math.comb(n, k))), S
+
+
+def test_samplers_at_k_equal_to_n_finish(example1_family):
+    # all 12 members of example1 fit in one union (K = 12) or one cover
+    # subset (capped at 11); drawing whole rows again on a repeated index
+    # would keep only about one size-12 row in 18,500
+    for sample in (sample_udf, sample_cff):
+        rep = sample(example1_family, 12, 50_000, seed=0)
+        assert rep.trials == 50_000 and rep.k == 12
+        assert not rep.ok and replay_witness(example1_family, rep.witness)
+        assert len(rep.witness.j2) <= (12 if sample is sample_udf else 11)
 
 
 def test_sample_udf_violation_rate_matches_exact_probability():
