@@ -470,17 +470,31 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     s, m = book.s, book.m
     if min(K, n) == 2 and (s * s) ** m < 2**63 and n > _PACKED_THRESHOLD:
         # each coordinate's symbol set {lo, hi} is encoded as lo*s + hi and
-        # the m codes are packed base s^2 into one integer per index set
+        # the m codes are packed base s^2 into one integer per index set.
+        # Since lo*s + hi = (s-1)*lo + (lo + hi) and lo + hi is the sum of
+        # the two symbols, the key of the pair (i, j) is (s-1)*L + P[i] +
+        # P[j], where P packs each row base s^2 and L packs the coordinate-
+        # wise minima, filled in place column by column (last coordinate
+        # first, Horner's rule).  No partial sum exceeds the key, so none
+        # overflows.
+        s2, s_1 = np.int64(s * s), np.int64(s - 1)
         rows = book.rows.astype(np.int64)
-        base = np.int64(s * s) ** np.arange(m, dtype=np.int64)
+        packed = rows @ (s2 ** np.arange(m, dtype=np.int64))
+        cols = [np.ascontiguousarray(rows[:, c]) for c in reversed(range(m))]
+        lo_buf = np.empty(n, np.int64)
 
         def fill_pairs(i, dst):
-            lo = np.minimum(rows[i], rows[i + 1:])
-            lo *= s
-            lo += np.maximum(rows[i], rows[i + 1:])
-            np.matmul(lo, base, out=dst)
+            lo = lo_buf[:len(dst)]
+            np.minimum(cols[0][i + 1:], cols[0][i], out=dst)
+            for col in cols[1:]:
+                np.minimum(col[i + 1:], col[i], out=lo)
+                dst *= s2
+                dst += lo
+            dst *= s_1
+            dst += packed[i + 1:]
+            dst += packed[i]
 
-        return _packed_pair_scan((rows * s + rows) @ base, fill_pairs,
+        return _packed_pair_scan(packed * np.int64(s + 1), fill_pairs,
                                  "duplicate-symbol-set")
     if total > _EXHAUSTIVE_LIMIT:
         raise FamilyError(

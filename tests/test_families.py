@@ -422,6 +422,100 @@ def test_ud_code_packed_default_dispatch_failure():
     assert replay_witness(book, res.witness)
 
 
+def _packing_bound(m):
+    """Largest s whose base-s^2 keys of length m fit: (s*s)**m < 2**63."""
+    s = int(2 ** (63 / (2 * m))) + 2
+    while (s * s) ** m >= 2**63:
+        s -= 1
+    return s
+
+
+@st.composite
+def packable_codebooks(draw):
+    """Books of up to 12 rows at every alphabet size the packed code scan
+    admits, small alphabets and the largest ones included.  Symbols lean
+    to 0, s-1 and s-2 (the largest keys).  Rows are distinct, but one row
+    may copy another, or two rows may mix two others coordinate-wise, which
+    plants a duplicate symbol set at any s."""
+    m = draw(st.integers(1, 4))
+    top = _packing_bound(m)
+    s = draw(st.one_of(st.integers(2, 5), st.integers(2, top),
+                       st.sampled_from([top - 1, top])))
+    any_symbol = st.integers(0, s - 1)
+    symbol = st.one_of(st.sampled_from(sorted({0, s - 1, max(s - 2, 0)})),
+                       any_symbol, any_symbol)
+    M = draw(st.integers(2, min(12, s**m)))
+    rows = [list(r) for r in draw(st.lists(st.tuples(*[symbol] * m),
+                                           min_size=M, max_size=M, unique=True))]
+    plant = draw(st.sampled_from(["none", "copy", "mix"]))
+    if plant == "copy":
+        a, b = draw(st.permutations(range(M)))[:2]
+        rows[b] = list(rows[a])
+    elif plant == "mix" and M >= 4:
+        a, b, c, d = draw(st.permutations(range(M)))[:4]
+        pick = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        rows[c] = [rows[b][i] if p else rows[a][i] for i, p in enumerate(pick)]
+        rows[d] = [rows[a][i] if p else rows[b][i] for i, p in enumerate(pick)]
+    return CodeBook(s=s, m=m, rows=np.array(rows, dtype=np.int64))
+
+
+def _ud_code_both_paths(book):
+    """K = 2 verdicts of the dictionary walk and of the packed scan (forced
+    by lowering the threshold), and how often the packed scan ran."""
+    calls = []
+    scan = fam_mod._packed_pair_scan
+
+    def spy(*args):
+        calls.append(1)
+        return scan(*args)
+
+    walk = is_k_ud_code(book, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fam_mod, "_PACKED_THRESHOLD", 1)
+        mp.setattr(fam_mod, "_packed_pair_scan", spy)
+        packed = is_k_ud_code(book, 2)
+    return walk, packed, len(calls)
+
+
+@given(packable_codebooks())
+def test_ud_code_packed_scan_matches_walk_and_oracle(book):
+    walk, packed, calls = _ud_code_both_paths(book)
+    assert calls == 1
+    event("2-UD" if walk.ok else "duplicate symbol set")
+    assert packed.ok == walk.ok == naive_ud_code(book.row_tuples(), 2)[0]
+    assert packed.witness == walk.witness
+    for res in (walk, packed):
+        assert res.ok or replay_witness(book, res.witness)
+    if walk.ok:
+        assert packed.checked == walk.checked
+    else:
+        # On a failure the packed scan has sorted every unit and reports
+        # the full count; the walk reports the units up to the witness.
+        assert packed.checked == book.M + math.comb(book.M, 2)
+        assert walk.checked <= packed.checked
+
+
+def test_ud_code_packing_boundary():
+    # 1448^6 < 2^63 <= 1449^6: at m = 3 the packed scan admits s = 1448
+    # and not 1449.  Rows 4 and 5 mix rows 2 and 3 coordinate-wise, so the
+    # pairs (2, 3) and (4, 5) share their symbol sets, all near s - 1.
+    assert [_packing_bound(m) for m in (1, 2, 3, 4)] == [
+        3_037_000_499, 55_108, 1_448, 234]
+    rows = [[0, 1, 2], [1447, 1447, 1447], [1447, 1446, 1445],
+            [1445, 1447, 1446], [1447, 1447, 1446], [1445, 1446, 1445],
+            [3, 2, 1]]
+    book = CodeBook(s=1448, m=3, rows=np.array(rows))
+    walk, packed, calls = _ud_code_both_paths(book)
+    assert calls == 1
+    assert packed.witness == walk.witness == Witness(
+        "duplicate-symbol-set", (2, 3), (4, 5))
+    assert replay_witness(book, packed.witness)
+    wider = CodeBook(s=1449, m=3, rows=np.array(rows))
+    walk, fallback, calls = _ud_code_both_paths(wider)
+    assert calls == 0
+    assert fallback == walk and fallback.witness == packed.witness
+
+
 def test_ud_code_errors():
     with pytest.raises(FamilyError):
         is_k_ud_code(CodeBook(s=3, m=3, rows=np.zeros((0, 3), dtype=int)), 2)
