@@ -15,6 +15,9 @@ import json
 import random
 import warnings
 from dataclasses import dataclass
+from math import comb
+
+import numpy as np
 
 from .codec import bits_to_str, str_to_bits, write_json
 from .families import SetFamily, Universe
@@ -76,10 +79,13 @@ def verify_cw_code(code: ConstantWeightCode) -> CWVerdict:
             return CWVerdict(False,
                              f"word {j} has weight {word.bit_count()}, expected {code.w}",
                              (j,))
-    max_overlap = code.w - code.d // 2
+    # distance 2(w - overlap) >= d  <=>  overlap <= w - ceil(d / 2)
+    max_overlap = code.w - (code.d + 1) // 2
     for i in range(code.N - 1):
         wi = code.words[i]
         for j in range(i + 1, code.N):
+            if wi == code.words[j]:
+                return CWVerdict(False, f"words {i} and {j} are equal", (i, j))
             if (wi & code.words[j]).bit_count() > max_overlap:
                 dist = (wi ^ code.words[j]).bit_count()
                 return CWVerdict(False,
@@ -105,19 +111,90 @@ def _check_params(q: int, d: int, w: int) -> int:
     return d
 
 
+# Candidate words per block of the greedy lexicode scan.
+_LEXICODE_BLOCK = 1 << 14
+
+
 def greedy_lexicode(q: int, d: int, w: int) -> ConstantWeightCode:
     """Scan all weight-w words in lexicographic order of their support and
-    keep each word compatible with everything kept so far.  Deterministic."""
+    keep each word compatible with everything kept so far (the lexicode
+    construction of Conway and Sloane).  Deterministic.
+
+    The scan runs over blocks of at most `_LEXICODE_BLOCK` consecutive
+    candidates (`_lex_blocks`), each word packed into ceil(q / 64) uint64
+    lanes.  A block is first cut down to the candidates that overlap every
+    kept word in at most w - d/2 places; then its first surviving
+    candidate is kept and the rest are cut against it, until none is left.
+    Memory is bounded by a few blocks, not by C(q, w).
+    """
     d = _check_params(q, d, w)
     max_overlap = w - d // 2
-    kept: list[int] = []
-    for support in itertools.combinations(range(q), w):
-        word = 0
-        for k in support:
-            word |= 1 << k
-        if all((word & other).bit_count() <= max_overlap for other in kept):
-            kept.append(word)
-    return ConstantWeightCode(q=q, w=w, d=d, words=kept)
+    kept: list[np.ndarray] = []
+    for block in _lex_blocks(q, w):
+        alive = np.arange(len(block))
+        for row in kept:
+            if not len(alive):
+                break
+            alive = alive[_overlaps(block[alive], row) <= max_overlap]
+        while len(alive):
+            row = block[alive[0]]
+            kept.append(row)
+            alive = alive[1:]
+            alive = alive[_overlaps(block[alive], row) <= max_overlap]
+    words = [int.from_bytes(row.astype("<u8").tobytes(), "little")
+             for row in kept]
+    return ConstantWeightCode(q=q, w=w, d=d, words=words)
+
+
+def _overlaps(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """|rows[i] & row| for each packed word rows[i]."""
+    return np.bitwise_count(rows & row).sum(axis=1)
+
+
+def _lex_blocks(q: int, w: int):
+    """All weight-w words of length q in lexicographic order of their
+    support, as (count, ceil(q / 64)) uint64 arrays of at most
+    `_LEXICODE_BLOCK` rows (lane l holds bits 64l..64l+63).
+
+    The words whose support starts with a fixed prefix and continues with
+    k elements of start..q-1 are split, while there are more than a block
+    of them, into those that take `start` next and those that do not."""
+    lanes = -(-q // 64)
+    bits = np.zeros((q, lanes), dtype=np.uint64)
+    positions = np.arange(q)
+    bits[positions, positions // 64] = np.left_shift(
+        np.uint64(1), (positions % 64).astype(np.uint64))
+    stack = [(0, w, np.zeros(lanes, dtype=np.uint64))]
+    while stack:
+        start, k, prefix = stack.pop()
+        if comb(q - start, k) <= _LEXICODE_BLOCK:
+            block = _lex_suffixes(bits, start, k)
+            block |= prefix
+            yield block
+        else:
+            stack.append((start + 1, k, prefix))
+            stack.append((start + 1, k - 1, prefix | bits[start]))
+
+
+def _lex_suffixes(bits: np.ndarray, start: int, k: int) -> np.ndarray:
+    """The words of all k-subsets of start..q-1, in lexicographic order.
+
+    Level j holds the j-subsets of lo..q-1 for lo = start + k - j, the
+    only positions a k-subset's last j elements can take.  The j-subsets
+    that start at a are a followed by a (j-1)-subset of a+1..q-1, and
+    those are the last C(q - a - 1, j - 1) entries of level j - 1."""
+    q, lanes = bits.shape
+    level = np.zeros((1, lanes), dtype=np.uint64)
+    for j in range(1, k + 1):
+        lo = start + k - j
+        out = np.empty((comb(q - lo, j), lanes), dtype=np.uint64)
+        pos = 0
+        for a in range(lo, q - j + 1):
+            tail = level[len(level) - comb(q - a - 1, j - 1):]
+            np.bitwise_or(tail, bits[a], out=out[pos:pos + len(tail)])
+            pos += len(tail)
+        level = out
+    return level
 
 
 def stochastic_search(q: int, d: int, w: int, target_n: int,

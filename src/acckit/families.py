@@ -664,17 +664,27 @@ def _draw_sets(rng, n: int, kmax: int, count: int) -> np.ndarray:
     uniform.  Sets are drawn by Floyd's algorithm, one column per step j
     from n - kmax to n - 1: a row of size k joins at step n - k, draws t
     uniform on 0..j and takes t, or j if t is already in the row.  That
-    needs exactly one draw per member, even at kmax = n."""
+    needs exactly one draw per member, even at kmax = n.
+
+    The columns live in a (kmax, count) array, so each step compares
+    whole contiguous columns, and an odd-even transposition network of
+    kmax rounds sorts them; the rows are its transposed view."""
     size = _uniform(rng, kmax, count) + 1
-    idx = np.full((count, kmax), n, dtype=np.int64)
+    cols = np.full((kmax, count), n, dtype=np.int64)
     for c in range(kmax):
         j = n - kmax + c
-        rows = np.flatnonzero(size >= kmax - c)
-        t = _uniform(rng, j + 1, len(rows))
-        taken = (idx[rows, :c] == t[:, None]).any(axis=1)
-        idx[rows, c] = np.where(taken, j, t)
-    idx.sort(axis=1)
-    return idx
+        active = size >= kmax - c
+        col = cols[c]
+        col[active] = _uniform(rng, j + 1, int(np.count_nonzero(active)))
+        # a row not yet active holds n in every column, and t < n
+        taken = (cols[:c] == col).any(axis=0) & active
+        col[taken] = j
+    for r in range(kmax):
+        lo, hi = cols[r % 2:kmax - 1:2], cols[r % 2 + 1::2]
+        low = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = low
+    return cols.T
 
 
 def _rejection(draw, bad, count: int) -> np.ndarray:

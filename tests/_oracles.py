@@ -2,9 +2,13 @@
 verifiers.  These deliberately share no code with the implementations they
 check: unions are compared pairwise over explicitly enumerated index sets,
 covers are tested straight from the definition, and extension-field
-arithmetic is recomputed from coefficient vectors."""
+arithmetic is recomputed from coefficient vectors.  The greedy lexicode
+and the sampler's index-set draw are kept here in their first, row-by-row
+form, as references for the vectorised kernels."""
 
 import itertools
+
+import numpy as np
 
 
 def all_index_subsets(n, kmax):
@@ -75,6 +79,55 @@ def naive_ud_code(rows, K):
             if keys[a] == keys[b]:
                 return False, (subsets[a], subsets[b])
     return True, None
+
+
+def naive_greedy_lexicode(q, d, w):
+    """Words of the greedy lexicode by its definition: every weight-w word
+    of length q, in lexicographic order of its support, is kept when it
+    overlaps each word kept so far in at most w - d/2 places (an odd d is
+    rounded up, as the library does)."""
+    d += d % 2
+    max_overlap = w - d // 2
+    kept = []
+    for support in itertools.combinations(range(q), w):
+        word = 0
+        for k in support:
+            word |= 1 << k
+        if all((word & other).bit_count() <= max_overlap for other in kept):
+            kept.append(word)
+    return kept
+
+
+def reference_uniform(rng, m, count):
+    """`count` integers uniform on [0, m) from rng's bytes: 32-bit words
+    below the largest multiple of m are kept and reduced mod m."""
+    limit = (1 << 32) // m * m
+    out = np.empty(count, dtype=np.int64)
+    filled = 0
+    while filled < count:
+        x = np.frombuffer(rng.randbytes(4 * (count - filled)), dtype="<u4")
+        x = x[x <= limit - 1]
+        out[filled:filled + len(x)] = x % m
+        filled += len(x)
+    return out
+
+
+def reference_floyd_sets(rng, n, kmax, count):
+    """The sampler's index-set draw, row by row: `count` sorted rows of a
+    (count, kmax) array padded with n.  Sizes are uniform on 1..kmax; then
+    Floyd's algorithm runs one column per step j = n - kmax .. n - 1, where
+    every row of size >= n - j draws t uniform on 0..j and takes t, or j
+    if t is already in the row."""
+    size = reference_uniform(rng, kmax, count) + 1
+    idx = np.full((count, kmax), n, dtype=np.int64)
+    for c in range(kmax):
+        j = n - kmax + c
+        rows = np.flatnonzero(size >= kmax - c)
+        t = reference_uniform(rng, j + 1, len(rows))
+        taken = (idx[rows, :c] == t[:, None]).any(axis=1)
+        idx[rows, c] = np.where(taken, j, t)
+    idx.sort(axis=1)
+    return idx
 
 
 def poly_field_mul(a_idx, b_idx, p, modulus):

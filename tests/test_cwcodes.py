@@ -1,12 +1,19 @@
 import itertools
 import json
+import tracemalloc
+from math import comb
 
 import pytest
+from hypothesis import event, given, strategies as st
 
+import acckit.cwcodes as cw_mod
+from acckit.cli import main
 from acckit.cwcodes import (CodeError, ConstantWeightCode, check_condition_8,
                             export_code, family_from_code, greedy_lexicode,
                             import_code, stochastic_search, verify_cw_code)
 from acckit.fixturegen import FIXTURE_DIR, cyclic_weight5_code
+
+from _oracles import naive_greedy_lexicode
 
 
 def test_greedy_small_complete():
@@ -27,6 +34,55 @@ def test_greedy_known_sizes():
     assert greedy_lexicode(21, 6, 4).N == 26
     assert greedy_lexicode(20, 6, 5).N == 71
     assert greedy_lexicode(21, 18, 13).N == 1
+
+
+@st.composite
+def lexicode_cases(draw):
+    """(q, d, w, block) in three shapes: short words at every distance, odd
+    ones included; words longer than one 64-bit lane at weight <= 2 (at
+    distance >= 3 for weight 2, which keeps the oracle's scan short); and
+    short words scanned in blocks of a few candidates, so that kept words
+    and their conflicts cross block boundaries."""
+    shape = draw(st.sampled_from(["short", "wide", "blocks"]))
+    if shape == "wide":
+        q, w = draw(st.integers(65, 90)), draw(st.integers(1, 2))
+        d = draw(st.integers(0 if w == 1 else 3, 2 * w))
+    else:
+        q = draw(st.integers(1, 9))
+        w = draw(st.integers(1, q))
+        d = draw(st.integers(0, 2 * w))
+    block = (draw(st.integers(1, 8)) if shape == "blocks"
+             else cw_mod._LEXICODE_BLOCK)
+    event(shape)
+    return q, d, w, block
+
+
+@given(lexicode_cases())
+def test_greedy_lexicode_matches_naive_oracle(case):
+    q, d, w, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cw_mod, "_LEXICODE_BLOCK", block)
+        if d % 2:
+            with pytest.warns(UserWarning, match="odd distance"):
+                code = greedy_lexicode(q, d, w)
+        else:
+            code = greedy_lexicode(q, d, w)
+    assert code.words == naive_greedy_lexicode(q, d, w)
+    assert (code.q, code.w, code.d) == (q, w, d + d % 2)
+    assert verify_cw_code(code).ok
+
+
+def test_greedy_lexicode_memory_is_bounded_by_the_block():
+    # (21, 18, 13) scans C(21, 13) = 203,490 candidates; held at once they
+    # would take 8 bytes each
+    tracemalloc.start()
+    try:
+        code = greedy_lexicode(21, 18, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.words == [(1 << 13) - 1]
+    assert peak < 8 * comb(21, 13)
 
 
 def test_greedy_parameter_errors():
@@ -52,6 +108,43 @@ def test_verify_catches_defects():
     close = ConstantWeightCode(6, 3, 4, [0b000111, 0b001011])
     v = verify_cw_code(close)
     assert not v.ok and "distance" in v.reason
+
+
+def test_verify_odd_distance_rounds_the_overlap_cap_down():
+    # two weight-2 words sharing one position are at distance 2: fine for
+    # d = 2, too close for d = 3 (and then for d = 4)
+    words = [0b0011, 0b0101]
+    assert verify_cw_code(ConstantWeightCode(4, 2, 2, words)).ok
+    for d in (3, 4):
+        v = verify_cw_code(ConstantWeightCode(4, 2, d, words))
+        assert not v.ok and v.indices == (0, 1)
+        assert v.reason == f"words 0 and 1 are at distance 2 < {d}"
+    # disjoint weight-2 words are at distance 4, enough for d = 3
+    assert verify_cw_code(ConstantWeightCode(4, 2, 3, [0b0011, 0b1100])).ok
+    # at d = 5 weight-3 words must be disjoint: one shared position puts
+    # them at distance 4
+    assert verify_cw_code(ConstantWeightCode(6, 3, 5, [0b000111, 0b111000])).ok
+    assert not verify_cw_code(ConstantWeightCode(6, 3, 5,
+                                                 [0b000111, 0b011100])).ok
+
+
+def test_verify_requires_distinct_words_at_any_distance():
+    for d in (0, 1):
+        v = verify_cw_code(ConstantWeightCode(2, 2, d, [0b11, 0b11]))
+        assert not v.ok and v.indices == (0, 1)
+        assert v.reason == "words 0 and 1 are equal"
+    assert verify_cw_code(ConstantWeightCode(3, 2, 0, [0b011, 0b110])).ok
+
+
+def test_cli_verify_rejects_close_words_at_odd_distance(tmp_path, capsys):
+    words = tmp_path / "f.txt"
+    words.write_text("1100\n1010\n")
+    assert main(["cw", "verify", "--code", str(words), "--d", "2"]) == 0
+    capsys.readouterr()
+    assert main(["cw", "verify", "--code", str(words), "--d", "3"]) == 1
+    out = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert out == {"ok": False, "indices": [0, 1],
+                   "reason": "words 0 and 1 are at distance 2 < 3"}
 
 
 def test_family_from_code():

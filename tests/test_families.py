@@ -20,10 +20,11 @@ from acckit.families import (FamilyError, SetFamily, Universe, Witness,
                              incidence_matrix, is_k_cff, is_k_ud_code,
                              is_k_udf, is_partial_cff, load_family,
                              replay_witness, sample_cff, sample_ud_code,
-                             sample_udf, save_family)
+                             sample_udf, save_family, union_of)
 from acckit.gf import GF
 
-from _oracles import naive_cff, naive_cover_witness, naive_ud_code, naive_udf
+from _oracles import (naive_cff, naive_cover_witness, naive_ud_code,
+                      naive_udf, reference_floyd_sets)
 
 
 def random_family(rng, n, v, max_size=None):
@@ -183,6 +184,79 @@ def test_udf_packed_default_dispatch_planted_duplicate(monkeypatch):
         plain = is_k_udf(fam, 2)
         monkeypatch.setattr(fam_mod, "_PACKED_THRESHOLD", 512)
         assert packed.witness == plain.witness
+
+
+@st.composite
+def packable_families(draw):
+    """Families of 2..12 members over v <= 64 elements, the universes the
+    packed K = 2 union scan admits, up to a full 64-bit word.  Members hold
+    at most `width` random elements; giving each member a private element
+    as well makes the family union-distinct.  On top of that, a member may
+    repeat another or equal the union of two others, or two members may
+    split the elements of two others between them, which plants each kind
+    of duplicate union the scan must report."""
+    v = draw(st.one_of(st.integers(1, 8), st.integers(1, 64),
+                       st.just(64)))
+    width = draw(st.integers(1, min(v, 5)))
+    element = st.one_of(st.integers(0, v - 1), st.sampled_from([0, v - 1]))
+    n = draw(st.integers(2, 12))
+    sets = [list(S) for S in draw(st.lists(
+        st.sets(element, min_size=1, max_size=width), min_size=n, max_size=n))]
+    if n <= v and draw(st.sampled_from([True, True, False])):
+        sets = [[j] + [e for e in S if e >= n] for j, S in enumerate(sets)]
+        event("private elements")
+    plant = draw(st.sampled_from(["none", "copy", "union", "union", "split",
+                                  "split"]))
+    order = draw(st.permutations(range(n)))
+    if plant == "copy":
+        sets[order[1]] = list(sets[order[0]])
+    elif plant == "union" and n >= 3:
+        a, b, c = order[:3]
+        sets[c] = sets[a] + sets[b]
+    elif plant == "split" and n >= 4:
+        a, b, c, d = order[:4]
+        sets[c] = sets[a][:1] + sets[b][1:]
+        sets[d] = sets[a][1:] + sets[b][:1]
+    event(plant)
+    return SetFamily.from_sets(Universe(v), sets)
+
+
+@given(packable_families())
+def test_udf_packed_scan_matches_walk_and_oracle(fam):
+    # each family is also checked in reverse member order, which moves
+    # duplicates planted among the first members to the last ones
+    for members in (fam.members, fam.members[::-1]):
+        _check_packed_udf(SetFamily(fam.universe, members))
+
+
+def _check_packed_udf(fam):
+    calls = []
+    scan = fam_mod._packed_pair_scan
+
+    def spy(*args):
+        calls.append(1)
+        return scan(*args)
+
+    walk = is_k_udf(fam, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fam_mod, "_PACKED_THRESHOLD", 1)
+        mp.setattr(fam_mod, "_packed_pair_scan", spy)
+        packed = is_k_udf(fam, 2)
+    assert calls == [1]
+    ok, pair = naive_udf(fam.members, 2)
+    event("2-UD" if ok else "duplicate union")
+    assert packed.ok == walk.ok == ok
+    assert packed.witness == walk.witness
+    for res in (walk, packed):
+        assert res.ok or replay_witness(fam, res.witness)
+    if ok:
+        assert packed.checked == walk.checked
+    else:
+        # the oracle compares unions pairwise in another order, so its pair
+        # may differ from the canonical witness, but it is a duplicate too
+        assert union_of(fam, pair[0]) == union_of(fam, pair[1])
+        assert packed.checked == fam.n + math.comb(fam.n, 2)
+        assert walk.checked <= packed.checked
 
 
 def test_udf_member_order_invariance():
@@ -654,6 +728,52 @@ def test_draw_sets_at_kmax_equal_to_n():
     for k in range(1, n + 1):
         for S in itertools.combinations(range(n), k):
             assert _within(drawn.count(S), count, 1 / (n * math.comb(n, k))), S
+
+
+def _draw_cases():
+    """(n, kmax, count) for the stream freeze: kmax = 1, kmax = n,
+    n = kmax + 1, odd and single-row counts, then seeded random ones."""
+    cases = [(1, 1, 1), (1, 1, 7), (2, 1, 5), (2, 2, 3), (5, 1, 4095),
+             (5, 5, 4096), (6, 5, 333), (12, 12, 1001), (13, 12, 77),
+             (20, 20, 4097), (21, 20, 999), (30, 3, 4096), (1000, 4, 513)]
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        cases.append((n, rng.randint(1, n), rng.randint(1, 2000) | 1))
+    return cases
+
+
+def test_draw_sets_matches_row_wise_floyd_reference():
+    # the column-major draw consumes the stream as the row-wise one does,
+    # so every batched-v1 report stays as it was
+    for seed, (n, kmax, count) in enumerate(_draw_cases()):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = fam_mod._draw_sets(rng, n, kmax, count)
+        want = reference_floyd_sets(ref_rng, n, kmax, count)
+        assert got.shape == want.shape == (count, kmax)
+        assert np.array_equal(got, want), (n, kmax, count)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_sampler_reports_are_pinned(example1_family, example2_book):
+    # reports of the batched-v1 stream: a change to the draws shows here
+    dense = SetFamily.from_sets(Universe(6), [[0, 1], [2], [0, 1]])
+    cases = [
+        (sample_udf(dense, 2, 5000, seed=1), 1268,
+         Witness("duplicate-union", (0,), (2,))),
+        (sample_cff(example1_family, 3, 5000, seed=2), 495,
+         Witness("cover", j2=(7, 10), covered=5)),
+        (sample_udf(example1_family, 12, 5000, seed=4), 1801,
+         Witness("duplicate-union", (0, 1, 3, 4, 5, 6, 7, 9),
+                 (1, 2, 3, 5, 6, 9, 10))),
+        (sample_cff(example1_family, 12, 5000, seed=5), 3231,
+         Witness("cover", j2=(0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11), covered=5)),
+        (sample_ud_code(example2_book, 3, 5000, seed=3), 13,
+         Witness("duplicate-symbol-set", (7, 9, 11), (9, 11))),
+    ]
+    for rep, violations, witness in cases:
+        assert rep.sampler == "batched-v1"
+        assert (rep.violations, rep.witness) == (violations, witness)
 
 
 def test_samplers_at_k_equal_to_n_finish(example1_family):
