@@ -25,7 +25,7 @@ from .codec import bits_to_str, str_to_bits, write_json
 from .families import (SetFamily, Universe, Witness, _canonical_cover_witness,
                        is_k_cff, is_k_udf, is_k_ud_code)
 
-MODES = ("exhaustive", "structural", "assumed-from-fixture", "sampled")
+MODES = ("exhaustive", "structural", "sampled")
 
 
 class ConstructionError(ValueError):
@@ -204,14 +204,13 @@ def _structural_ud_entry(code: CodeBook, K: int) -> ConditionEntry | None:
 
 
 def build_theorem1_acc(code: CodeBook, family: SetFamily, K: int,
-                       mode: str = "exhaustive", family_mode: str = "exhaustive"):
+                       mode: str = "exhaustive"):
     """Concatenation build: requires the codebook K-union-distinct and the
     inner family K-union-distinct.  Returns (AndAcc, Certificate).
 
     mode "structural" certifies the codebook from its stacked-array
     provenance when applicable; otherwise it falls back to the exhaustive
-    check and records why.  The family is always checked exhaustively
-    unless family_mode is "assumed-from-fixture".
+    check and records why.  The family is always checked exhaustively.
     """
     if mode not in ("exhaustive", "structural"):
         raise ConstructionError(f"mode must be exhaustive or structural, got {mode!r}")
@@ -239,13 +238,9 @@ def build_theorem1_acc(code: CodeBook, family: SetFamily, K: int,
                                     witness=res.witness)
     cert.entries.append(code_entry)
 
-    if family_mode == "assumed-from-fixture":
-        cert.add("inner family is K-UDF", "assumed-from-fixture", True,
-                 params={"q": q, "members": family.n})
-    else:
-        fres = is_k_udf(family, K)
-        cert.add("inner family is K-UDF", "exhaustive", fres.ok,
-                 params={"checked": fres.checked}, witness=fres.witness)
+    fres = is_k_udf(family, K)
+    cert.add("inner family is K-UDF", "exhaustive", fres.ok,
+             params={"checked": fres.checked}, witness=fres.witness)
 
     if not cert.certified:
         raise ConstructionRefused(cert)

@@ -36,6 +36,8 @@ class CodeBook:
     t: int | None = None  # strength parameter, set for U/V/W builds
 
     def __post_init__(self):
+        if self.m < 1 or self.s < 1:
+            raise ParameterError(f"need m >= 1 and s >= 1, got m={self.m}, s={self.s}")
         rows = np.asarray(self.rows, dtype=np.int64)
         if rows.ndim != 2:
             raise ParameterError("rows must be a 2-D array")
@@ -78,11 +80,17 @@ class CodeBook:
             raise ParameterError(f"malformed codebook JSON: {exc}") from exc
 
 
+# File formats: JSON when the path ends in ".json", else one row per line.
 def save_codebook(book: CodeBook, path) -> None:
-    write_json(book.to_json_dict(), path)
+    if str(path).endswith(".json"):
+        write_json(book.to_json_dict(), path)
+    else:
+        save_codebook_text(book, path)
 
 
 def load_codebook(path) -> CodeBook:
+    if not str(path).endswith(".json"):
+        return load_codebook_text(path)
     with open(path) as fh:
         return CodeBook.from_json_dict(json.load(fh))
 
@@ -260,22 +268,15 @@ def coincidences(row_a, row_b) -> int:
     return int((a == b).sum())
 
 
-def min_distance(book: CodeBook, method: str = "auto") -> int:
+def min_distance(book: CodeBook) -> int:
     """Minimum pairwise Hamming distance.
 
     For a linear codebook (provenance "U") the minimum nonzero row weight
-    gives the same value in O(M m); that path is taken automatically and
-    can be forced or suppressed via `method`.
+    gives the same value in O(M m); every other book is scanned pairwise.
     """
     if book.M < 2:
         raise ParameterError("min_distance needs at least 2 rows")
-    if method not in ("auto", "pairwise", "minweight"):
-        raise ParameterError(f"unknown method {method!r}")
-    if method == "minweight" and book.provenance != "U":
-        raise ParameterError("minweight path requires provenance 'U'")
-    if method == "auto":
-        method = "minweight" if book.provenance == "U" else "pairwise"
-    if method == "minweight":
+    if book.provenance == "U":
         weights = (book.rows != 0).sum(axis=1)
         nz = weights[weights > 0]
         if len(nz) == 0:

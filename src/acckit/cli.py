@@ -87,10 +87,7 @@ def cmd_oa_build(args) -> int:
     gf = parse_field(args.field)
     builder = {"U": arrays.build_U, "V": arrays.build_V, "W": arrays.build_W}
     book = builder[args.which](gf, args.t, args.m)
-    if args.format == "json":
-        arrays.save_codebook(book, args.out)
-    else:
-        arrays.save_codebook_text(book, args.out)
+    arrays.save_codebook(book, args.out)
     _emit(book.to_json_dict() if args.verbose else
           {"rows": book.M, "m": book.m, "s": book.s, "out": args.out},
           args.json, f"wrote {args.which}: {book.M} x {book.m} over "
@@ -110,7 +107,7 @@ def cmd_oa_check(args) -> int:
 
 def cmd_oa_distance(args) -> int:
     book = arrays.load_codebook(args.book)
-    d = arrays.min_distance(book, method=args.method)
+    d = arrays.min_distance(book)
     _emit({"d": d, "m": book.m, "rows": book.M}, args.json,
           f"minimum distance: {d}")
     return PASS
@@ -382,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--which", choices=["U", "V", "W"], default="U")
     q.add_argument("--out", required=True)
-    q.add_argument("--format", choices=["json", "text"], default="json")
     q.add_argument("--verbose", action="store_true")
     _add_common(q)
     q.set_defaults(func=cmd_oa_build)
@@ -393,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_oa_check)
     q = osub.add_parser("distance")
     q.add_argument("--book", required=True)
-    q.add_argument("--method", choices=["auto", "pairwise", "minweight"],
-                   default="auto")
     _add_common(q)
     q.set_defaults(func=cmd_oa_distance)
     q = osub.add_parser("lemma1")

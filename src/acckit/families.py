@@ -14,7 +14,8 @@ Three properties are covered:
 * cover-free families: no union of at most K members contains another
   member that is not part of the union;
 * union-distinct codes: no two different row-index sets of size at most K
-  produce the same per-coordinate symbol sets.
+  produce the same per-coordinate symbol sets; a codebook is checked,
+  sampled and replayed as its one-hot family (`_one_hot`).
 
 For K = 2 at scale, a sort-based duplicate scan over packed 64-bit keys
 replaces the dictionary walk; verdicts are identical and the canonical
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -38,8 +39,9 @@ from .arrays import CodeBook, min_distance
 from .codec import write_json
 
 # Above this many enumerated units an exhaustive dictionary walk is refused
-# (use sampling or the packed K=2 path instead).
-_EXHAUSTIVE_LIMIT = 5 * 10**7
+# (use sampling or the packed K=2 path instead).  The walk's dictionary
+# holds about 175 bytes per unit, so this caps it near 0.9 GB.
+_EXHAUSTIVE_LIMIT = 5 * 10**6
 # K=2 union scans switch to the packed path beyond this member count.
 _PACKED_THRESHOLD = 512
 
@@ -257,20 +259,18 @@ class VerifyResult:
 
 
 def replay_witness(obj, witness: Witness) -> bool:
-    """Confirm that a witness indeed exhibits the claimed failure."""
-    if witness.kind == "duplicate-union":
-        return (witness.j1 != witness.j2
-                and union_of(obj, witness.j1) == union_of(obj, witness.j2))
-    if witness.kind == "cover":
+    """Confirm that a witness indeed exhibits the claimed failure (on a
+    CodeBook for kind duplicate-symbol-set, else on a SetFamily)."""
+    if witness.kind == "duplicate-symbol-set":
+        obj = _one_hot(obj)
+    elif witness.kind == "cover":
         u = union_of(obj, witness.j2)
         return (witness.covered not in witness.j2
                 and obj.members[witness.covered] & ~u == 0)
-    if witness.kind == "duplicate-symbol-set":
-        rows = obj.row_tuples() if isinstance(obj, CodeBook) else obj
-        k1 = _symbol_set_key(rows, witness.j1)
-        k2 = _symbol_set_key(rows, witness.j2)
-        return witness.j1 != witness.j2 and k1 == k2
-    raise FamilyError(f"unknown witness kind {witness.kind!r}")
+    elif witness.kind != "duplicate-union":
+        raise FamilyError(f"unknown witness kind {witness.kind!r}")
+    return (witness.j1 != witness.j2
+            and union_of(obj, witness.j1) == union_of(obj, witness.j2))
 
 
 def _index_subsets(n: int, kmax: int):
@@ -453,14 +453,25 @@ def is_partial_cff(family: SetFamily, subfamily_indices, K: int) -> VerifyResult
 # Union-distinct code check
 # ---------------------------------------------------------------------------
 
-def _symbol_set_key(rows, J):
-    m = len(rows[0])
-    return tuple(tuple(sorted({rows[j][i] for j in J})) for i in range(m))
+def _one_hot(book: CodeBook) -> SetFamily:
+    """Row j becomes one element per coordinate i: the rank of row[j][i]
+    among the symbols column i uses, past the earlier columns' ranks.  The
+    union over J holds exactly J's per-coordinate symbol sets, and the
+    universe has sum_i |used_i| <= m * min(s, M) elements for any s."""
+    bits = np.empty(book.rows.shape, dtype=np.int64)
+    v = 0
+    for i in range(book.m):
+        used, rank = np.unique(book.rows[:, i], return_inverse=True)
+        bits[:, i] = rank + v
+        v += len(used)
+    return SetFamily(Universe(v), [sum(1 << b for b in row)
+                                   for row in bits.tolist()])
 
 
 def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     """Exhaustively check that no two distinct row-index sets of size <= K
-    give identical per-coordinate symbol sets."""
+    give identical per-coordinate symbol sets: `is_k_udf` on the one-hot
+    family, except K = 2 scans of large books with base-s^2 keys < 2^63."""
     if book.M == 0:
         raise FamilyError("empty codebook")
     if K < 1:
@@ -500,18 +511,10 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
         raise FamilyError(
             f"{total} subsets exceed the exhaustive budget; use sample_ud_code"
         )
-    rows = book.row_tuples()
-    seen: dict[tuple, tuple[int, ...]] = {}
-    checked = 0
-    for J in _index_subsets(n, K):
-        key = _symbol_set_key(rows, J)
-        checked += 1
-        prev = seen.get(key)
-        if prev is not None:
-            return VerifyResult(False, Witness("duplicate-symbol-set", prev, J),
-                                checked)
-        seen[key] = J
-    return VerifyResult(True, None, checked)
+    res = is_k_udf(_one_hot(book), K)
+    if res.ok:
+        return res
+    return replace(res, witness=replace(res.witness, kind="duplicate-symbol-set"))
 
 
 def check_distance_condition(book: CodeBook, K: int) -> bool:
@@ -582,19 +585,17 @@ def sample_cff(family: SetFamily, K: int, trials: int, seed: int = 0) -> SampleR
 
 def sample_ud_code(book: CodeBook, K: int, trials: int, seed: int = 0) -> SampleReport:
     """Random pairs of distinct <= K row-index sets; count equal
-    per-coordinate symbol sets.  Row j is sampled as its one-hot set
-    {i*s + row[j][i]}: the union of those sets over J holds exactly the
-    per-coordinate symbol sets of J."""
+    per-coordinate symbol sets.  Rows are sampled as members of the
+    book's one-hot family (`_one_hot`), whose unions over J hold exactly
+    the per-coordinate symbol sets of J."""
     if book.M < 2:
         raise FamilyError("sampling needs at least 2 rows")
     if K < 1:
         raise FamilyError(f"K must be >= 1, got {K}")
-    s = book.s
-    masks = [sum(1 << (i * s + x) for i, x in enumerate(row))
-             for row in book.row_tuples()]
+    family = _one_hot(book)
     return _sample("code-union-distinct", "duplicate-symbol-set",
-                   _packed_rows(masks, book.m * s), K, min(K, book.M),
-                   trials, seed)
+                   _packed_rows(family.members, family.universe.v), K,
+                   min(K, book.M), trials, seed)
 
 
 def _packed_rows(masks, v: int) -> np.ndarray:

@@ -177,7 +177,7 @@ def _run_example2(preset, fixtures, deep):
                                    mode="exhaustive")
     cert.add("stacked array equals the canonical twelve rows", "exhaustive",
              book.row_set() == fixture_book.row_set())
-    d = min_distance(book, method="pairwise")
+    d = min_distance(book)
     cert.add("minimum distance", "exhaustive", d == 1, required=False,
              params={"d": d})
     meets = preset.K * (book.m - d) < book.m

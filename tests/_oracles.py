@@ -4,7 +4,8 @@ check: unions are compared pairwise over explicitly enumerated index sets,
 covers are tested straight from the definition, and extension-field
 arithmetic is recomputed from coefficient vectors.  The greedy lexicode
 and the sampler's index-set draw are kept here in their first, row-by-row
-form, as references for the vectorised kernels."""
+form, as references for the vectorised kernels, and the codebook walk in
+its first, tuple-keyed form, as a reference for the one-hot walk."""
 
 import itertools
 
@@ -79,6 +80,24 @@ def naive_ud_code(rows, K):
             if keys[a] == keys[b]:
                 return False, (subsets[a], subsets[b])
     return True, None
+
+
+def reference_ud_code_walk(rows, K):
+    """The dictionary walk over per-coordinate symbol-set keys that
+    `is_k_ud_code` once ran on its own: index sets by size, then lex, each
+    keyed by its sorted symbol set at every coordinate; the first key seen
+    twice gives the witness.  Returns (ok, (J1, J2) or None, checked)."""
+    m = len(rows[0])
+    seen = {}
+    checked = 0
+    for J in all_index_subsets(len(rows), K):
+        key = tuple(tuple(sorted({rows[j][i] for j in J})) for i in range(m))
+        checked += 1
+        prev = seen.get(key)
+        if prev is not None:
+            return False, (prev, J), checked
+        seen[key] = J
+    return True, None, checked
 
 
 def naive_greedy_lexicode(q, d, w):

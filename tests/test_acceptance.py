@@ -40,7 +40,7 @@ def test_criterion_01_stacked_array_reproduction(example2_book):
     w = build_W(GF(3), 2, 3)
     assert w.row_set() == set(EXAMPLE2_ROWS)
     assert w.M == 12
-    d = min_distance(w, method="pairwise")
+    d = min_distance(w)
     assert d == 1
     assert check_distance_condition(w, 2) is False
     assert is_k_ud_code(w, 2).ok

@@ -114,12 +114,6 @@ def test_theorem1_structural_fallback_on_k3():
     assert cert.entry("code is K-UD").mode == "exhaustive"
 
 
-def test_theorem1_family_assumed_from_fixture(example2_book):
-    acc, cert = build_theorem1_acc(example2_book, singletons(3), 2,
-                                   family_mode="assumed-from-fixture")
-    assert cert.entry("inner family is K-UDF").mode == "assumed-from-fixture"
-
-
 def test_theorem1_partially_cover_free_structure():
     # built from the stacked array, the first s^t members (from the linear
     # block) stay cover-free while the whole family is not

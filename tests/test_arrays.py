@@ -110,15 +110,9 @@ def test_min_distance_paths_agree_on_linear_books():
             if t >= m or m < 3:
                 continue
             u = build_U(gf, t, m)
-            assert (min_distance(u, method="minweight")
-                    == min_distance(u, method="pairwise")), (s, t, m)
-
-
-def test_min_distance_method_guards(example2_book):
-    with pytest.raises(ParameterError):
-        min_distance(example2_book, method="minweight")  # not linear
-    with pytest.raises(ParameterError):
-        min_distance(example2_book, method="nope")
+            # the same rows without provenance "U" are scanned pairwise
+            plain = CodeBook(s=u.s, m=u.m, rows=u.rows)
+            assert min_distance(u) == min_distance(plain), (s, t, m)
 
 
 def test_lemma1_bounds_small():
@@ -161,6 +155,18 @@ def test_codebook_validation():
         CodeBook(s=3, m=3, rows=np.array([[0, 1, 2]]), provenance="X")
 
 
+def test_codebook_rejects_no_coordinates_or_no_symbols(tmp_path):
+    # two empty rows would otherwise pass as a duplicate symbol set
+    with pytest.raises(ParameterError, match="m >= 1"):
+        CodeBook(s=3, m=0, rows=np.zeros((2, 0), dtype=int))
+    with pytest.raises(ParameterError, match="s >= 1"):
+        CodeBook(s=0, m=2, rows=np.zeros((0, 2), dtype=int))
+    bad = tmp_path / "flat.json"
+    bad.write_text(json.dumps({"s": 3, "m": 0, "rows": [[], []]}))
+    with pytest.raises(ParameterError):
+        load_codebook(bad)
+
+
 def test_json_and_text_roundtrip(tmp_path, example2_book):
     p = tmp_path / "book.json"
     save_codebook(example2_book, p)
@@ -180,6 +186,16 @@ def test_json_and_text_roundtrip(tmp_path, example2_book):
     assert again.row_tuples() == example2_book.row_tuples()
     inferred = load_codebook_text(p3)
     assert inferred.s == 3
+
+    # save_codebook and load_codebook write and read text unless the path
+    # ends in .json
+    p4 = tmp_path / "w.txt"
+    save_codebook(w, p4)
+    assert p4.read_text() == "".join(
+        " ".join(str(x) for x in row) + "\n" for row in w.row_tuples())
+    again = load_codebook(p4)
+    assert again.row_tuples() == w.row_tuples() and again.s == 3
+    assert again.provenance == "imported"
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"s": 3, "rows": [[0]]}))

@@ -35,6 +35,45 @@ def test_oa_build_check_distance(tmp_path, capsys):
     assert code == 0 and json.loads(out)["d"] == 5
 
 
+def test_codebook_text_files_round_trip(tmp_path, capsys):
+    # a path not ending in .json is written and read as text rows
+    book = tmp_path / "u.txt"
+    code, _, _ = run_cli(capsys, "oa", "build", "--field", "7", "--t", "3",
+                         "--m", "7", "--which", "U", "--out", str(book))
+    assert code == 0 and book.read_text().startswith("0 0 0 0 0 0 0\n")
+    code, _, _ = run_cli(capsys, "oa", "check", "--book", str(book), "--t", "3")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "oa", "distance", "--book", str(book), "--json")
+    assert code == 0 and json.loads(out)["d"] == 5
+    fam = tmp_path / "singletons.json"
+    fam.write_text(json.dumps({"universe": {"v": 3, "product": None},
+                               "sets": [[0], [1], [2]]}))
+    w = tmp_path / "w.txt"
+    run_cli(capsys, "oa", "build", "--field", "3", "--t", "2", "--m", "3",
+            "--which", "W", "--out", str(w))
+    code, _, _ = run_cli(capsys, "acc", "build-t1", "--code", str(w),
+                         "--family", str(fam), "--K", "2",
+                         "--out", str(tmp_path / "acc.json"))
+    assert code == 0
+
+
+def test_removed_format_and_method_flags(tmp_path):
+    for argv in (["oa", "build", "--field", "3", "--t", "2", "--m", "3",
+                  "--out", str(tmp_path / "u.txt"), "--format", "text"],
+                 ["oa", "distance", "--book", str(tmp_path / "u.txt"),
+                  "--method", "pairwise"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_codebook_without_coordinates_exit_2(tmp_path, capsys):
+    book = tmp_path / "flat.json"
+    book.write_text(json.dumps({"s": 3, "m": 0, "rows": [[], []]}))
+    code, _, err = run_cli(capsys, "oa", "distance", "--book", str(book))
+    assert code == 2 and "m >= 1" in err
+
+
 def test_oa_check_failure_exit_code(tmp_path, capsys):
     book = tmp_path / "w.json"
     run_cli(capsys, "oa", "build", "--field", "3", "--t", "2", "--m", "3",

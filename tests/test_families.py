@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import acckit
 import acckit.families as fam_mod
@@ -24,7 +24,7 @@ from acckit.families import (FamilyError, SetFamily, Universe, Witness,
 from acckit.gf import GF
 
 from _oracles import (naive_cff, naive_cover_witness, naive_ud_code,
-                      naive_udf, reference_floyd_sets)
+                      naive_udf, reference_floyd_sets, reference_ud_code_walk)
 
 
 def random_family(rng, n, v, max_size=None):
@@ -290,6 +290,26 @@ def test_udf_budget_guard():
         is_k_udf(fam, 3)
 
 
+def test_walk_budget_is_refused_before_the_walk():
+    # 310 members give 4,965,425 index sets of size <= 3, within the
+    # budget of 5 * 10**6; 311 give 5,013,631.  Members 0 and 1 are equal,
+    # so an admitted walk stops at its second unit, and a refused one
+    # raises before walking any.
+    assert fam_mod._EXHAUSTIVE_LIMIT == 5 * 10**6
+    members = [1 << 70] + [(1 << 70) | (1 << j) for j in range(310)]
+    members[1] = members[0]
+    res = is_k_udf(SetFamily(Universe(311), members[:310]), 3)
+    assert not res.ok and res.checked == 2
+    with pytest.raises(FamilyError, match="sample_udf"):
+        is_k_udf(SetFamily(Universe(311), members), 3)
+    rows = np.array([[j // 20, j % 20] for j in range(311)])
+    rows[1] = rows[0]
+    res = is_k_ud_code(CodeBook(s=20, m=2, rows=rows[:310]), 3)
+    assert not res.ok and res.checked == 2
+    with pytest.raises(FamilyError, match="sample_ud_code"):
+        is_k_ud_code(CodeBook(s=20, m=2, rows=rows), 3)
+
+
 # ---------------------------------------------------------------------------
 # cover-free verification
 # ---------------------------------------------------------------------------
@@ -534,27 +554,29 @@ def packable_codebooks(draw):
 
 
 def _ud_code_both_paths(book):
-    """K = 2 verdicts of the dictionary walk and of the packed scan (forced
-    by lowering the threshold), and how often the packed scan ran."""
-    calls = []
+    """K = 2 verdicts of the dictionary walk and of a packed scan (forced
+    by lowering the threshold), and the witness kinds the packed scans
+    ran with: "duplicate-symbol-set" for the base-s^2 code scan,
+    "duplicate-union" for the union scan of the one-hot family."""
+    kinds = []
     scan = fam_mod._packed_pair_scan
 
-    def spy(*args):
-        calls.append(1)
-        return scan(*args)
+    def spy(single, fill_pairs, kind):
+        kinds.append(kind)
+        return scan(single, fill_pairs, kind)
 
     walk = is_k_ud_code(book, 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fam_mod, "_PACKED_THRESHOLD", 1)
         mp.setattr(fam_mod, "_packed_pair_scan", spy)
         packed = is_k_ud_code(book, 2)
-    return walk, packed, len(calls)
+    return walk, packed, kinds
 
 
 @given(packable_codebooks())
 def test_ud_code_packed_scan_matches_walk_and_oracle(book):
-    walk, packed, calls = _ud_code_both_paths(book)
-    assert calls == 1
+    walk, packed, kinds = _ud_code_both_paths(book)
+    assert kinds == ["duplicate-symbol-set"]
     event("2-UD" if walk.ok else "duplicate symbol set")
     assert packed.ok == walk.ok == naive_ud_code(book.row_tuples(), 2)[0]
     assert packed.witness == walk.witness
@@ -579,15 +601,91 @@ def test_ud_code_packing_boundary():
             [1445, 1447, 1446], [1447, 1447, 1446], [1445, 1446, 1445],
             [3, 2, 1]]
     book = CodeBook(s=1448, m=3, rows=np.array(rows))
-    walk, packed, calls = _ud_code_both_paths(book)
-    assert calls == 1
+    walk, packed, kinds = _ud_code_both_paths(book)
+    assert kinds == ["duplicate-symbol-set"]
     assert packed.witness == walk.witness == Witness(
         "duplicate-symbol-set", (2, 3), (4, 5))
     assert replay_witness(book, packed.witness)
+    # past the bound no base-s^2 scan runs: the book's one-hot family
+    # (three columns of at most five used symbols each) takes the packed
+    # union scan, which finds the same canonical witness
     wider = CodeBook(s=1449, m=3, rows=np.array(rows))
-    walk, fallback, calls = _ud_code_both_paths(wider)
-    assert calls == 0
-    assert fallback == walk and fallback.witness == packed.witness
+    walk, fallback, kinds = _ud_code_both_paths(wider)
+    assert kinds == ["duplicate-union"]
+    assert fallback.witness == walk.witness == packed.witness
+    assert fallback.checked == packed.checked == 7 + math.comb(7, 2)
+    assert replay_witness(wider, fallback.witness)
+
+
+@st.composite
+def ud_codebooks(draw):
+    """Books of 2..8 rows and 1..4 coordinates over alphabets up to 2**40,
+    with K in 1..4.  Symbols lean to 0 and s - 1; rows may repeat, and a
+    row may copy another or two rows may mix two others coordinate-wise,
+    which plants a duplicate symbol set at any alphabet size."""
+    m = draw(st.integers(1, 4))
+    s = draw(st.one_of(st.integers(1, 4), st.integers(2, 2**40),
+                       st.just(2**40)))
+    any_symbol = st.integers(0, s - 1)
+    symbol = st.one_of(st.sampled_from(sorted({0, s - 1})), any_symbol,
+                       any_symbol)
+    M = draw(st.integers(2, 8))
+    rows = [list(r) for r in draw(st.lists(st.tuples(*[symbol] * m),
+                                           min_size=M, max_size=M))]
+    plant = draw(st.sampled_from(["none", "copy", "mix", "mix"]))
+    if plant == "copy":
+        a, b = draw(st.permutations(range(M)))[:2]
+        rows[b] = list(rows[a])
+    elif plant == "mix" and M >= 4:
+        a, b, c, d = draw(st.permutations(range(M)))[:4]
+        pick = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        rows[c] = [rows[b][i] if p else rows[a][i] for i, p in enumerate(pick)]
+        rows[d] = [rows[a][i] if p else rows[b][i] for i, p in enumerate(pick)]
+    event(plant)
+    K = draw(st.integers(1, 4))
+    return CodeBook(s=s, m=m, rows=np.array(rows, dtype=np.int64)), K
+
+
+@given(ud_codebooks())
+def test_ud_code_one_walk_matches_reference_and_oracle(case):
+    book, K = case
+    rows = book.row_tuples()
+    ok, pair, checked = reference_ud_code_walk(rows, K)
+    event("K-UD" if ok else "duplicate symbol set")
+    res = is_k_ud_code(book, K)
+    assert res.ok == ok == naive_ud_code(rows, K)[0]
+    assert res.checked == checked
+    assert res.witness == (None if ok else
+                           Witness("duplicate-symbol-set", *pair))
+    assert ok or replay_witness(book, res.witness)
+    if min(K, book.M) == 2:
+        # forced packed scans: base-s^2 keys while they fit in 63 bits,
+        # else the union scan of the one-hot family; same verdict and
+        # witness, and on a failure the full unit count
+        walk, packed, kinds = _ud_code_both_paths(book)
+        fits = (book.s * book.s) ** book.m < 2**63
+        event("base-s^2 scan" if fits else "one-hot union scan")
+        assert kinds == ["duplicate-symbol-set" if fits else "duplicate-union"]
+        assert walk == res
+        assert (packed.ok, packed.witness) == (res.ok, res.witness)
+        assert packed.checked == (checked if ok else
+                                  book.M + math.comb(book.M, 2))
+
+
+def test_one_hot_universe_counts_used_symbols():
+    # ranks, not symbols: three rows over s = 2**24 need 3 + 3 elements
+    book = CodeBook(s=2**24, m=2, rows=np.array([[0, 0], [1, 1], [2, 2]]))
+    fam = fam_mod._one_hot(book)
+    assert fam.universe.v == 6
+    assert [fam.member_elements(j) for j in range(3)] == [(0, 3), (1, 4),
+                                                          (2, 5)]
+    spread = CodeBook(s=10, m=3, rows=np.array([[9, 0, 5], [2, 0, 5],
+                                                [9, 7, 5]]))
+    fam = fam_mod._one_hot(spread)
+    assert fam.universe.v == 2 + 2 + 1
+    assert [fam.member_elements(j) for j in range(3)] == [(1, 2, 4),
+                                                          (0, 2, 4),
+                                                          (1, 3, 4)]
 
 
 def test_ud_code_errors():
@@ -625,6 +723,39 @@ def test_sample_ud_code(example2_book):
     dup = CodeBook(s=3, m=3, rows=np.array([[0, 1, 2], [0, 1, 2], [1, 1, 1]]))
     rep = sample_ud_code(dup, 1, 500, seed=0)
     assert not rep.ok
+
+
+def test_replay_rejects_false_witnesses(example1_family, example2_book):
+    # example2_book is 2-union-distinct; a witness must name two different
+    # index sets with equal unions (or symbol sets), or a real cover
+    for fam, kind in ((example1_family, "duplicate-union"),
+                      (example2_book, "duplicate-symbol-set")):
+        assert not replay_witness(fam, Witness(kind, (0, 1), (0, 1)))
+        assert not replay_witness(fam, Witness(kind, (0,), (1,)))
+    assert not replay_witness(example1_family,
+                              Witness("cover", j2=(0, 1), covered=2))
+    assert not replay_witness(example1_family,
+                              Witness("cover", j2=(0, 1), covered=1))
+    with pytest.raises(FamilyError, match="unknown witness kind"):
+        replay_witness(example1_family, Witness("bogus", (0,), (1,)))
+
+
+def test_sample_ud_code_on_a_wide_alphabet_is_pinned():
+    # m * s one-hot bits would need a 16 GiB block at s = 2**24; ranked,
+    # the universe has 6 (then 4) elements.  The draws depend only on
+    # (n, kmax, seed), so the reports are the ones these rows give over
+    # the alphabets {0, 1, 2} and {0, 1}.
+    wide = CodeBook(s=2**24, m=2, rows=np.array([[0, 0], [1, 1], [2, 2]]))
+    rep = sample_ud_code(wide, 2, 1000)
+    assert (rep.ok, rep.trials, rep.violations, rep.witness) == (
+        True, 1000, 0, None)
+    mixed = CodeBook(s=2**24, m=2,
+                     rows=np.array([[0, 0], [1, 1], [0, 1], [1, 0]]))
+    for seed, violations in ((0, 22), (7, 17)):
+        rep = sample_ud_code(mixed, 2, 1000, seed=seed)
+        assert rep.violations == violations
+        assert rep.witness == Witness("duplicate-symbol-set", (2, 3), (0, 1))
+        assert replay_witness(mixed, rep.witness)
 
 
 def test_samplers_reject_degenerate_families():
@@ -887,3 +1018,29 @@ def test_samplers_do_not_import_numpy_random():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@settings(max_examples=60)
+@given(packable_families(), ud_codebooks(), st.integers(1, 3),
+       st.integers(0, 2**32))
+def test_replay_accepts_every_reported_witness(fam, case, K, seed):
+    # every witness the three verifiers (walks and forced packed scans)
+    # and the three samplers report replays on its family or codebook;
+    # each sampler call draws a full block of 4,096 trials, hence fewer
+    # examples than the profile's 200
+    book, book_K = case
+    reports = []
+    for threshold in (512, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fam_mod, "_PACKED_THRESHOLD", threshold)
+            reports += [(fam, is_k_udf(fam, K)), (fam, is_k_cff(fam, K)),
+                        (book, is_k_ud_code(book, book_K))]
+    reports += [(fam, sample_udf(fam, K, 300, seed)),
+                (fam, sample_cff(fam, K, 300, seed)),
+                (book, sample_ud_code(book, book_K, 300, seed))]
+    for obj, rep in reports:
+        if rep.witness is not None:
+            event(rep.witness.kind)
+            assert replay_witness(obj, rep.witness), (rep, obj)
+        else:
+            assert rep.ok
