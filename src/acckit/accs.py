@@ -17,11 +17,11 @@ an uncertified code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .arrays import CodeBook, min_distance
-from .codec import bits_to_str, str_to_bits, write_json
+from .codec import (bits_to_str, json_int, json_list, read_json, str_to_bits,
+                    write_json)
 from .families import (SetFamily, Universe, Witness, _canonical_cover_witness,
                        is_k_cff, is_k_udf, is_k_ud_code)
 
@@ -135,12 +135,10 @@ class AndAcc:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AndAcc":
-        try:
-            v, n, K = int(d["v"]), int(d["n"]), int(d["K"])
-            words = [str_to_bits(s, v) for s in d["codewords"]]
-            return cls(v=v, n=n, K=K, codewords=words)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConstructionError(f"malformed AND-ACC JSON: {exc}") from exc
+        v = json_int(d["v"], "v")
+        return cls(v=v, n=json_int(d["n"], "n"), K=json_int(d["K"], "K"),
+                   codewords=[str_to_bits(s, v)
+                              for s in json_list(d["codewords"], "codewords")])
 
 
 def save_acc(acc: AndAcc, path) -> None:
@@ -148,8 +146,7 @@ def save_acc(acc: AndAcc, path) -> None:
 
 
 def load_acc(path) -> AndAcc:
-    with open(path) as fh:
-        return AndAcc.from_json_dict(json.load(fh))
+    return read_json(path, AndAcc.from_json_dict, ConstructionError)
 
 
 def family_to_acc(family: SetFamily, K: int) -> AndAcc:

@@ -10,12 +10,12 @@ an orthogonal-array property checker with failure witnesses.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import write_json
+from .codec import (json_int, json_ints, json_list, read_json, read_lines,
+                    write_json, write_lines)
 from .gf import GF
 
 PROVENANCES = ("U", "V", "W", "imported")
@@ -72,12 +72,10 @@ class CodeBook:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CodeBook":
-        try:
-            return cls(s=int(d["s"]), m=int(d["m"]), rows=np.array(d["rows"]),
-                       provenance=str(d.get("provenance", "imported")),
-                       t=int(d["t"]) if "t" in d else None)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed codebook JSON: {exc}") from exc
+        return cls(s=json_int(d["s"], "s"), m=json_int(d["m"], "m"),
+                   rows=[json_ints(r, "row") for r in json_list(d["rows"], "rows")],
+                   provenance=d.get("provenance", "imported"),
+                   t=json_int(d["t"], "t") if "t" in d else None)
 
 
 # File formats: JSON when the path ends in ".json", else one row per line.
@@ -91,32 +89,23 @@ def save_codebook(book: CodeBook, path) -> None:
 def load_codebook(path) -> CodeBook:
     if not str(path).endswith(".json"):
         return load_codebook_text(path)
-    with open(path) as fh:
-        return CodeBook.from_json_dict(json.load(fh))
+    return read_json(path, CodeBook.from_json_dict, ParameterError)
 
 
 def save_codebook_text(book: CodeBook, path) -> None:
-    with open(path, "w") as fh:
-        for row in book.rows:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+    write_lines((" ".join(map(str, row)) for row in book.rows.tolist()), path)
 
 
-def load_codebook_text(path, s: int | None = None) -> CodeBook:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([int(tok) for tok in line.split()])
-    if not rows:
-        raise ParameterError(f"no rows in {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+def load_codebook_text(path) -> CodeBook:
+    """Read rows of space-separated integers; s is the largest symbol + 1."""
+    return read_lines(path, _book_from_lines, ParameterError)
+
+
+def _book_from_lines(lines) -> CodeBook:
+    rows = [[int(tok) for tok in line.split()] for line in lines]
+    if len({len(r) for r in rows}) != 1:
         raise ParameterError("rows have inconsistent lengths")
-    arr = np.array(rows)
-    if s is None:
-        s = int(arr.max()) + 1
-    return CodeBook(s=s, m=arr.shape[1], rows=arr)
+    return CodeBook(s=max(map(max, rows)) + 1, m=len(rows[0]), rows=rows)
 
 
 # ---------------------------------------------------------------------------

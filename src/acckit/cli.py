@@ -20,7 +20,8 @@ import json
 import sys
 
 from . import accs, arrays, collusion, cwcodes, families, presets
-from .gf import FieldError, parse_field
+from .codec import read_lines, write_lines
+from .gf import parse_field
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -266,21 +267,18 @@ def cmd_attack(args) -> int:
                "coalition": [j + 1 for j in fp.coalition]}
     _emit(payload, args.json, fp.bitstring())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(fp.bitstring() + "\n")
+        write_lines([fp.bitstring()], args.out)
     return PASS
 
 
 def cmd_trace(args) -> int:
     acc = accs.load_acc(args.acc)
     if args.fp_file:
-        with open(args.fp_file) as fh:
-            text = fh.read().strip()
+        fp = read_lines(args.fp_file, _fingerprint, collusion.CollusionError)
+    elif args.fp:
+        fp = collusion.Fingerprint.from_bitstring(args.fp)
     else:
-        text = args.fp
-    if not text:
         raise ValueError("provide --fp or --fp-file")
-    fp = collusion.Fingerprint.from_bitstring(text)
     res = collusion.trace(acc, fp, K=args.K)
     payload = res.to_json_dict()
     if res.found:
@@ -293,6 +291,12 @@ def cmd_trace(args) -> int:
     payload["candidates"] = [j + 1 for j in res.candidates]
     _emit(payload, args.json, f"no match: {res.reason}")
     return FAIL
+
+
+def _fingerprint(lines):
+    if len(lines) != 1:
+        raise ValueError(f"a fingerprint file holds one line, not {len(lines)}")
+    return collusion.Fingerprint.from_bitstring(lines[0])
 
 
 def cmd_scan_remark6(args) -> int:
@@ -336,20 +340,21 @@ def cmd_preset_list(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, seed=False):
+def _add_common(sp, func, seed=False):
     sp.add_argument("--json", action="store_true", help="machine output")
     if seed:
         sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(func=func)
 
 
-def _add_verify_args(sp, K_required):
+def _add_verify_args(sp, func, K_required):
     """Arguments shared by `family verify` and `acc verify`."""
     sp.add_argument("--prop", choices=["udf", "cff"], required=True)
     sp.add_argument("--K", type=int, required=K_required)
     sp.add_argument("--mode", choices=["exhaustive", "sampled"],
                     default="exhaustive")
     sp.add_argument("--trials", type=int, default=10**6)
-    _add_common(sp, seed=True)
+    _add_common(sp, func, seed=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,12 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = fsub.add_parser("elements")
     q.add_argument("--field", required=True,
                    help="p, p^e, or p^e:c0,c1,...,ce")
-    _add_common(q)
-    q.set_defaults(func=cmd_field_elements)
+    _add_common(q, cmd_field_elements)
     q = fsub.add_parser("table")
     q.add_argument("--field", required=True)
-    _add_common(q)
-    q.set_defaults(func=cmd_field_table)
+    _add_common(q, cmd_field_table)
 
     p = sub.add_parser("oa", help="row arrays over a field")
     osub = p.add_subparsers(dest="subcommand", required=True)
@@ -380,23 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--which", choices=["U", "V", "W"], default="U")
     q.add_argument("--out", required=True)
     q.add_argument("--verbose", action="store_true")
-    _add_common(q)
-    q.set_defaults(func=cmd_oa_build)
+    _add_common(q, cmd_oa_build)
     q = osub.add_parser("check")
     q.add_argument("--book", required=True)
     q.add_argument("--t", type=int, required=True)
-    _add_common(q)
-    q.set_defaults(func=cmd_oa_check)
+    _add_common(q, cmd_oa_check)
     q = osub.add_parser("distance")
     q.add_argument("--book", required=True)
-    _add_common(q)
-    q.set_defaults(func=cmd_oa_distance)
+    _add_common(q, cmd_oa_distance)
     q = osub.add_parser("lemma1")
     q.add_argument("--field", required=True)
     q.add_argument("--t", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
-    _add_common(q)
-    q.set_defaults(func=cmd_oa_lemma1)
+    _add_common(q, cmd_oa_lemma1)
 
     p = sub.add_parser("cw", help="constant-weight binary codes")
     csub = p.add_subparsers(dest="subcommand", required=True)
@@ -405,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--w", type=int, required=True)
     q.add_argument("--out")
-    _add_common(q)
-    q.set_defaults(func=cmd_cw_gen)
+    _add_common(q, cmd_cw_gen)
     q = csub.add_parser("search")
     q.add_argument("--q", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
@@ -414,27 +412,23 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--target-n", type=int, required=True)
     q.add_argument("--budget", type=int, default=200_000)
     q.add_argument("--out")
-    _add_common(q, seed=True)
-    q.set_defaults(func=cmd_cw_search)
+    _add_common(q, cmd_cw_search, seed=True)
     q = csub.add_parser("verify")
     q.add_argument("--code", required=True)
     q.add_argument("--d", type=int, help="expected distance for bitstring files")
-    _add_common(q)
-    q.set_defaults(func=cmd_cw_verify)
+    _add_common(q, cmd_cw_verify)
     q = csub.add_parser("to-family")
     q.add_argument("--code", required=True)
     q.add_argument("--d", type=int)
     q.add_argument("--out", required=True)
-    _add_common(q)
-    q.set_defaults(func=cmd_cw_to_family)
+    _add_common(q, cmd_cw_to_family)
 
     p = sub.add_parser("family", help="set-family verification")
     fsub = p.add_subparsers(dest="subcommand", required=True)
     q = fsub.add_parser("verify")
     q.add_argument("--family", required=True)
     q.add_argument("--subfamily", help="0-based indices, e.g. 0-8 or 0,1,4")
-    _add_verify_args(q, K_required=True)
-    q.set_defaults(func=cmd_family_verify)
+    _add_verify_args(q, cmd_family_verify, K_required=True)
 
     p = sub.add_parser("acc", help="anti-collusion code operations")
     asub = p.add_subparsers(dest="subcommand", required=True)
@@ -446,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     q.add_argument("--out", required=True)
     q.add_argument("--cert-out")
-    _add_common(q)
-    q.set_defaults(func=cmd_acc_build_t1)
+    _add_common(q, cmd_acc_build_t1)
     q = asub.add_parser("build-t2", help="augmentation construction")
     q.add_argument("--code", required=True)
     q.add_argument("--family-f", required=True)
@@ -455,34 +448,29 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--K", type=int, required=True)
     q.add_argument("--out", required=True)
     q.add_argument("--cert-out")
-    _add_common(q)
-    q.set_defaults(func=cmd_acc_build_t2)
+    _add_common(q, cmd_acc_build_t2)
     q = asub.add_parser("verify")
     q.add_argument("--acc", required=True)
-    _add_verify_args(q, K_required=False)
-    q.set_defaults(func=cmd_acc_verify)
+    _add_verify_args(q, cmd_acc_verify, K_required=False)
     q = asub.add_parser("compare")
     q.add_argument("--acc", required=True)
     q.add_argument("--prior-v", type=int, required=True)
     q.add_argument("--prior-n", type=int, required=True)
-    _add_common(q)
-    q.set_defaults(func=cmd_acc_compare)
+    _add_common(q, cmd_acc_compare)
 
     p = sub.add_parser("attack", help="bitwise-AND collusion attack")
     p.add_argument("--acc", required=True)
     p.add_argument("--coalition", required=True,
                    help="1-based user ids, e.g. 2,5")
     p.add_argument("--out", help="write the fingerprint to a file")
-    _add_common(p)
-    p.set_defaults(func=cmd_attack)
+    _add_common(p, cmd_attack)
 
     p = sub.add_parser("trace", help="recover the coalition behind a fingerprint")
     p.add_argument("--acc", required=True)
     p.add_argument("--fp", help="fingerprint bitstring")
     p.add_argument("--fp-file", help="file containing the bitstring")
     p.add_argument("--K", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_trace)
+    _add_common(p, cmd_trace)
 
     p = sub.add_parser("scan-remark6",
                        help="empirical union-distinctness scan of the "
@@ -494,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "sampled"],
                    default="exhaustive")
     p.add_argument("--trials", type=int, default=10**6)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_scan_remark6)
+    _add_common(p, cmd_scan_remark6, seed=True)
 
     p = sub.add_parser("preset", help="canonical end-to-end pipelines")
     psub = p.add_subparsers(dest="subcommand", required=True)
@@ -505,11 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out-dir", help="write code/certificate/summary files")
     q.add_argument("--deep", action="store_true",
                    help="include long-running exhaustive output checks")
-    _add_common(q)
-    q.set_defaults(func=cmd_preset_run)
+    _add_common(q, cmd_preset_run)
     q = psub.add_parser("list")
-    _add_common(q)
-    q.set_defaults(func=cmd_preset_list)
+    _add_common(q, cmd_preset_list)
 
     return parser
 
@@ -519,10 +504,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FieldError, arrays.ParameterError, families.FamilyError,
-            cwcodes.CodeError, accs.ConstructionError,
-            collusion.CollusionError, presets.FixtureMissing,
-            FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    # every acckit input error is a ValueError; FixtureMissing is an OSError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except presets.PresetError as exc:

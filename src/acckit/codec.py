@@ -1,13 +1,17 @@
-"""On-disk encodings shared by every module: the JSON writer and the 0/1
-bitstring codec.  Imports nothing from acckit, so any module can use it.
+"""The one reader and writer of acckit's files; imports nothing from acckit.
 
-Bitstrings put bit k of an integer mask at character k.  The decoder
-raises ValueError; each loader rewraps it in its own error class.
+JSON files are sorted-key and newline-terminated.  Line files hold one
+record per nonblank line: a codebook row, a code word or a fingerprint.
+Bitstrings put bit k of an integer mask at character k.  Both readers
+pass the parsed file to `build` and raise every malformed-input failure
+(bad JSON, a missing key, a wrong type, a non-integer number, or what
+`build` rejects) as the caller's error class, naming the path.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 
 def write_json(obj, path) -> None:
@@ -15,6 +19,55 @@ def write_json(obj, path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
+
+
+def write_lines(lines, path) -> None:
+    """Write each string in `lines` followed by a newline."""
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def read_json(path, build, error):
+    """build(the parsed JSON file at `path`)."""
+    with open(path) as fh, _malformed(path, error):
+        return build(json.load(fh))
+
+
+def read_lines(path, build, error):
+    """build(the nonblank lines of the file at `path`, stripped); a file
+    without such a line is malformed."""
+    with open(path) as fh, _malformed(path, error):
+        lines = [text for line in fh if (text := line.strip())]
+        if not lines:
+            raise ValueError("no lines")
+        return build(lines)
+
+
+@contextmanager
+def _malformed(path, error):
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"malformed {path}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"malformed {path}: {exc}") from exc
+
+
+def json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer, not a float, bool or string."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_list(value, name: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
+def json_ints(value, name: str) -> list[int]:
+    return [json_int(x, f"{name} entry") for x in json_list(value, name)]
 
 
 def bits_to_str(bits: int, length: int) -> str:
@@ -25,8 +78,10 @@ def bits_to_str(bits: int, length: int) -> str:
 
 
 def str_to_bits(text: str, length: int | None = None) -> int:
-    """Inverse of bits_to_str.  Rejects characters other than 0/1 and,
+    """Inverse of bits_to_str.  Rejects anything but a 0/1 string and,
     when `length` is given, a string of any other length."""
+    if type(text) is not str:
+        raise ValueError(f"bitstring must be a string, got {text!r}")
     bad = set(text) - {"0", "1"}
     if bad:
         raise ValueError(f"invalid character {min(bad)!r} in bitstring {text!r}")

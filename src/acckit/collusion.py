@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .accs import AndAcc
 from .arrays import build_W
 from .codec import bits_to_str, str_to_bits
-from .families import (SAMPLER, SampleReport, VerifyResult, Witness,
-                       is_k_ud_code, sample_ud_code)
+from .families import (SAMPLER, FamilyError, SampleReport, VerifyResult,
+                       Witness, is_k_ud_code, sample_ud_code)
 from .gf import GF
 
 
@@ -127,9 +127,6 @@ def trace(acc: AndAcc, fp: Fingerprint, K: int | None = None) -> TraceResult:
 # Empirical scan of the stacked array's union-distinctness beyond K = 2
 # ---------------------------------------------------------------------------
 
-_EXHAUSTIVE_ROW_CAP = 130
-_EXHAUSTIVE_K_CAP = 3
-
 SCAN_NOTE = "empirical; conjecture unproven"
 
 
@@ -169,8 +166,9 @@ class ScanReport:
 def scan_remark6(gf: GF, t: int, m: int, K: int, mode: str = "exhaustive",
                  trials: int = 10**6, seed: int = 0) -> ScanReport:
     """Build the stacked array and test it for K-union-distinctness, either
-    exhaustively (bounded instance sizes) or by seeded sampling.  The
-    outcome is evidence only; nothing is certified for K > 2."""
+    exhaustively (within `is_k_ud_code`'s walk budget) or by seeded
+    sampling.  The outcome is evidence only; nothing is certified for
+    K > 2."""
     if not K >= t >= 2:
         raise CollusionError(f"need K >= t >= 2, got K={K}, t={t}")
     if K * (t - 1) >= m:
@@ -179,12 +177,11 @@ def scan_remark6(gf: GF, t: int, m: int, K: int, mode: str = "exhaustive",
         raise CollusionError("scan requires an odd alphabet size")
     book = build_W(gf, t, m)
     if mode == "exhaustive":
-        if book.M > _EXHAUSTIVE_ROW_CAP or K > _EXHAUSTIVE_K_CAP:
-            raise CollusionError(
-                f"exhaustive mode bounded to {_EXHAUSTIVE_ROW_CAP} rows and "
-                f"K <= {_EXHAUSTIVE_K_CAP} (got {book.M} rows, K={K}); "
-                "use mode='sampled'")
-        res: VerifyResult = is_k_ud_code(book, K)
+        try:
+            res: VerifyResult = is_k_ud_code(book, K)
+        except FamilyError as exc:
+            raise CollusionError(f"{book.M} rows at K={K} exceed the exhaustive "
+                                 "walk budget; use mode='sampled'") from exc
         return ScanReport(s=gf.s, t=t, m=m, k=K, rows=book.M, mode="exhaustive",
                           ok=res.ok, checked=res.checked, witness=res.witness)
     if mode == "sampled":

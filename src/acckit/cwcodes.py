@@ -11,7 +11,6 @@ same verifier, which is the ground truth.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ from math import comb
 
 import numpy as np
 
-from .codec import bits_to_str, str_to_bits, write_json
+from .codec import (bits_to_str, json_int, json_list, read_json, read_lines,
+                    str_to_bits, write_json, write_lines)
 from .families import SetFamily, Universe
 
 
@@ -50,6 +50,12 @@ class ConstantWeightCode:
     def to_json_dict(self) -> dict:
         return {"q": self.q, "w": self.w, "d": self.d,
                 "words": [self.word_string(j) for j in range(self.N)]}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "ConstantWeightCode":
+        q = json_int(d["q"], "q")
+        return cls(q=q, w=json_int(d["w"], "w"), d=json_int(d["d"], "d"),
+                   words=[str_to_bits(s, q) for s in json_list(d["words"], "words")])
 
 
 @dataclass(frozen=True)
@@ -277,19 +283,22 @@ def stochastic_search(q: int, d: int, w: int, target_n: int,
 
 
 def _feasible_subset(words, max_overlap):
-    """Greedily drop conflicting words, most-conflicted first."""
+    """Greedily drop conflicting words, most-conflicted first (the earliest
+    on ties).  A dropped word's degree goes negative, so it is never
+    picked again and is left out of the result."""
     keep = list(dict.fromkeys(words))
-    while True:
-        counts = [0] * len(keep)
-        for i in range(len(keep) - 1):
-            for j in range(i + 1, len(keep)):
-                if (keep[i] & keep[j]).bit_count() > max_overlap:
-                    counts[i] += 1
-                    counts[j] += 1
-        worst = max(range(len(keep)), key=lambda i: counts[i], default=-1)
-        if worst < 0 or counts[worst] == 0:
-            return keep
-        keep.pop(worst)
+    nbrs = [[] for _ in keep]
+    for i, j in itertools.combinations(range(len(keep)), 2):
+        if (keep[i] & keep[j]).bit_count() > max_overlap:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    degree = [len(n) for n in nbrs]
+    while degree and (top := max(degree)) > 0:
+        worst = degree.index(top)
+        degree[worst] = -1
+        for j in nbrs[worst]:
+            degree[j] -= 1
+    return [word for word, deg in zip(keep, degree) if deg >= 0]
 
 
 def family_from_code(code: ConstantWeightCode) -> SetFamily:
@@ -338,13 +347,10 @@ def check_condition_8(b1: ConstantWeightCode, b2: ConstantWeightCode,
 # ---------------------------------------------------------------------------
 
 def export_code(code: ConstantWeightCode, path) -> None:
-    path = str(path)
-    if path.endswith(".json"):
+    if str(path).endswith(".json"):
         write_json(code.to_json_dict(), path)
     else:
-        with open(path, "w") as fh:
-            for j in range(code.N):
-                fh.write(code.word_string(j) + "\n")
+        write_lines((code.word_string(j) for j in range(code.N)), path)
 
 
 def import_code(path, d: int | None = None,
@@ -353,41 +359,21 @@ def import_code(path, d: int | None = None,
     (q, w, d); for bitstring files q and w are inferred and d defaults to
     the observed minimum distance.  verify=False skips the property check
     but still rejects malformed files."""
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-                q = int(data["q"])
-                code = ConstantWeightCode(
-                    q=q, w=int(data["w"]), d=int(data["d"]),
-                    words=[str_to_bits(s, q) for s in data["words"]])
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise CodeError(f"malformed code file {path}: {exc}") from exc
+    if str(path).endswith(".json"):
+        code = read_json(path, ConstantWeightCode.from_json_dict, CodeError)
     else:
-        words = []
-        length = None
-        with open(path) as fh:
-            for lineno, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                if length is None:
-                    length = len(line)
-                try:
-                    words.append(str_to_bits(line, length))
-                except ValueError as exc:
-                    raise CodeError(f"line {lineno}: {exc}") from exc
-        if not words:
-            raise CodeError(f"no words in {path}")
-        weight = words[0].bit_count()
-        if d is None:
-            d = min(((a ^ b).bit_count()
-                     for a, b in itertools.combinations(words, 2)),
-                    default=2 * weight)
-        code = ConstantWeightCode(q=length, w=weight, d=d, words=words)
+        code = read_lines(path, lambda lines: _code_from_lines(lines, d), CodeError)
     if verify:
         verdict = verify_cw_code(code)
         if not verdict.ok:
             raise CodeError(f"code in {path} failed verification: {verdict.reason}")
     return code
+
+
+def _code_from_lines(lines, d: int | None) -> ConstantWeightCode:
+    q = len(lines[0])
+    words = [str_to_bits(line, q) for line in lines]
+    if d is None:
+        d = min(((a ^ b).bit_count() for a, b in itertools.combinations(words, 2)),
+                default=2 * words[0].bit_count())
+    return ConstantWeightCode(q=q, w=words[0].bit_count(), d=d, words=words)

@@ -28,7 +28,6 @@ the canonical witness in one pass.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, replace
 from math import comb
@@ -36,7 +35,7 @@ from math import comb
 import numpy as np
 
 from .arrays import CodeBook, min_distance
-from .codec import write_json
+from .codec import json_int, json_ints, json_list, read_json, write_json
 
 # Above this many enumerated units an exhaustive dictionary walk is refused
 # (use sampling or the packed K=2 path instead).  The walk's dictionary
@@ -89,9 +88,11 @@ class Universe:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Universe":
+        v = json_int(d["v"], "v")
         prod = d.get("product")
-        product = (int(prod["m"]), int(prod["q"])) if prod else None
-        return cls(v=int(d["v"]), product=product)
+        if prod is not None:
+            prod = (json_int(prod["m"], "m"), json_int(prod["q"], "q"))
+        return cls(v=v, product=prod)
 
 
 class SetFamily:
@@ -146,11 +147,8 @@ class SetFamily:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SetFamily":
-        try:
-            universe = Universe.from_json_dict(d["universe"])
-            return cls.from_sets(universe, d["sets"])
-        except (KeyError, TypeError) as exc:
-            raise FamilyError(f"malformed family JSON: {exc}") from exc
+        sets = [json_ints(s, "set") for s in json_list(d["sets"], "sets")]
+        return cls.from_sets(Universe.from_json_dict(d["universe"]), sets)
 
     def __eq__(self, other):
         return (isinstance(other, SetFamily)
@@ -175,11 +173,7 @@ def save_family(family: SetFamily, path) -> None:
 
 
 def load_family(path) -> SetFamily:
-    with open(path) as fh:
-        try:
-            return SetFamily.from_json_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise FamilyError(f"invalid JSON in {path}: {exc}") from exc
+    return read_json(path, SetFamily.from_json_dict, FamilyError)
 
 
 def incidence_matrix(family: SetFamily) -> np.ndarray:

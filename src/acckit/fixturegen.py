@@ -23,8 +23,7 @@ from pathlib import Path
 
 from .codec import write_json
 from .cwcodes import ConstantWeightCode, export_code, stochastic_search, verify_cw_code
-
-FIXTURE_DIR = Path(__file__).parent / "fixtures"
+from .presets import FIXTURE_DIR
 
 EXAMPLE1_SETS = [
     [0, 3, 6], [0, 4, 8], [0, 5, 7], [1, 3, 8], [1, 4, 7], [1, 5, 6],

@@ -15,7 +15,6 @@ concatenation outputs at K = 2) and by seeded sampling where it does not
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -30,7 +29,7 @@ from .families import (SetFamily, Universe, is_k_cff, is_k_udf,
                        is_partial_cff, load_family, sample_udf)
 from .gf import GF
 
-FIXTURE_ENV = "ACCKIT_FIXTURES"
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 SAMPLE_TRIALS = 10**6
 SAMPLE_SEED = 0
 
@@ -76,15 +75,8 @@ PRESETS: dict[str, PipelinePreset] = {
 }
 
 
-def fixture_dir() -> Path:
-    override = os.environ.get(FIXTURE_ENV)
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "fixtures"
-
-
 def fixture_path(filename: str, fixtures: Path | str | None = None) -> Path:
-    base = Path(fixtures) if fixtures is not None else fixture_dir()
+    base = Path(fixtures) if fixtures is not None else FIXTURE_DIR
     path = base / filename
     if not path.exists():
         raise FixtureMissing(
@@ -172,7 +164,6 @@ def _run_example2(preset, fixtures, deep):
     gf = GF(3)
     book = build_W(gf, 2, 3)
     fixture_book = load_codebook(fixture_path("example2_code.json", fixtures))
-    cert_extra = []
     acc, cert = build_theorem1_acc(book, _singleton_family(3), preset.K,
                                    mode="exhaustive")
     cert.add("stacked array equals the canonical twelve rows", "exhaustive",

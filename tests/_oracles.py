@@ -4,8 +4,10 @@ check: unions are compared pairwise over explicitly enumerated index sets,
 covers are tested straight from the definition, and extension-field
 arithmetic is recomputed from coefficient vectors.  The greedy lexicode
 and the sampler's index-set draw are kept here in their first, row-by-row
-form, as references for the vectorised kernels, and the codebook walk in
-its first, tuple-keyed form, as a reference for the one-hot walk."""
+form, as references for the vectorised kernels, the codebook walk in its
+first, tuple-keyed form, as a reference for the one-hot walk, and the
+annealer's feasible-subset extraction in its first, recount-every-round
+form."""
 
 import itertools
 
@@ -115,6 +117,20 @@ def naive_greedy_lexicode(q, d, w):
         if all((word & other).bit_count() <= max_overlap for other in kept):
             kept.append(word)
     return kept
+
+
+def reference_feasible_subset(words, max_overlap):
+    """Drop the first most-conflicted word, recounting every pair after
+    each drop, until no two kept words overlap in more than max_overlap
+    positions."""
+    keep = list(dict.fromkeys(words))
+    while True:
+        counts = [sum((a & b).bit_count() > max_overlap
+                      for j, b in enumerate(keep) if j != i)
+                  for i, a in enumerate(keep)]
+        if not keep or max(counts) == 0:
+            return keep
+        keep.pop(counts.index(max(counts)))
 
 
 def reference_uniform(rng, m, count):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from acckit.accs import acc_to_family, build_theorem1_acc
+from acckit.cli import main
 from acckit.collusion import (CollusionError, Fingerprint, and_attack,
                               scan_remark6, trace)
 from acckit.gf import GF
@@ -125,6 +126,19 @@ def test_scan_sampled():
     assert rep.trials == 5000 and rep.seed == 2
     again = scan_remark6(GF(7), 3, 7, 3, mode="sampled", trials=5000, seed=2)
     assert rep == again
+
+
+def test_scan_exhaustive_up_to_the_walk_budget(capsys):
+    # 132 rows at K = 3 is 383,438 index sets, inside the verifier's budget
+    rep = scan_remark6(GF(11), 2, 7, 3)
+    assert (rep.rows, rep.mode, rep.checked, rep.ok) == (
+        132, "exhaustive", 383_438, True)
+    # 392 rows at K = 3 is about 10^7 index sets, over it
+    with pytest.raises(CollusionError, match="use mode='sampled'$"):
+        scan_remark6(GF(7), 3, 7, 3)
+    assert main(["scan-remark6", "--field", "7", "--t", "3", "--m", "7",
+                 "--K", "3"]) == 2
+    assert "use mode='sampled'" in capsys.readouterr().err
 
 
 def test_scan_bounds_and_preconditions():

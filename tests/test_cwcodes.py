@@ -13,7 +13,15 @@ from acckit.cwcodes import (CodeError, ConstantWeightCode, check_condition_8,
                             import_code, stochastic_search, verify_cw_code)
 from acckit.fixturegen import FIXTURE_DIR, cyclic_weight5_code
 
-from _oracles import naive_greedy_lexicode
+from _oracles import naive_greedy_lexicode, reference_feasible_subset
+
+
+@given(st.lists(st.integers(0, 2**10 - 1), max_size=14), st.integers(0, 4))
+def test_feasible_subset_matches_reference(words, max_overlap):
+    # the annealer's best-so-far extraction: same words, same order, same
+    # first-maximum drops as recounting all pairs after every drop
+    assert cw_mod._feasible_subset(words, max_overlap) == \
+        reference_feasible_subset(words, max_overlap)
 
 
 def test_greedy_small_complete():

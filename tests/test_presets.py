@@ -72,11 +72,15 @@ def test_outputs_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
-def test_fixture_env_var_override(tmp_path, monkeypatch):
-    from acckit.fixturegen import make_fixture_files
-    make_fixture_files(tmp_path)
-    monkeypatch.setenv("ACCKIT_FIXTURES", str(tmp_path))
-    result = run_preset("example1")
+def test_fixture_regeneration_matches_shipped_files(tmp_path):
+    # the shipped fixtures are exactly what fixturegen writes, and a
+    # preset runs from a regenerated copy
+    from acckit.fixturegen import FIXTURE_DIR, make_fixture_files
+    paths = make_fixture_files(tmp_path)
+    assert len(paths) == 4
+    for path in paths.values():
+        assert path.read_bytes() == (FIXTURE_DIR / path.name).read_bytes()
+    result = run_preset("example1", fixtures=tmp_path)
     assert result.summary["certified"]
 
 
