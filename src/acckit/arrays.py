@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (json_int, json_ints, json_list, read_json, read_lines,
-                    write_json, write_lines)
+                    text_int, write_json, write_lines)
 from .gf import GF
 
 PROVENANCES = ("U", "V", "W", "imported")
@@ -102,7 +102,7 @@ def load_codebook_text(path) -> CodeBook:
 
 
 def _book_from_lines(lines) -> CodeBook:
-    rows = [[int(tok) for tok in line.split()] for line in lines]
+    rows = [[text_int(tok) for tok in line.split()] for line in lines]
     if len({len(r) for r in rows}) != 1:
         raise ParameterError("rows have inconsistent lengths")
     return CodeBook(s=max(map(max, rows)) + 1, m=len(rows[0]), rows=rows)

@@ -60,6 +60,12 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def text_int(token: str) -> int:
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer token: {token!r}")
+    return int(token)
+
+
 def json_list(value, name: str) -> list:
     if type(value) is not list:
         raise ValueError(f"{name} must be a list, got {type(value).__name__}")

@@ -166,7 +166,7 @@ class ScanReport:
 def scan_remark6(gf: GF, t: int, m: int, K: int, mode: str = "exhaustive",
                  trials: int = 10**6, seed: int = 0) -> ScanReport:
     """Build the stacked array and test it for K-union-distinctness, either
-    exhaustively (within `is_k_ud_code`'s walk budget) or by seeded
+    exhaustively (within `is_k_ud_code`'s budget) or by seeded
     sampling.  The outcome is evidence only; nothing is certified for
     K > 2."""
     if not K >= t >= 2:
@@ -181,7 +181,7 @@ def scan_remark6(gf: GF, t: int, m: int, K: int, mode: str = "exhaustive",
             res: VerifyResult = is_k_ud_code(book, K)
         except FamilyError as exc:
             raise CollusionError(f"{book.M} rows at K={K} exceed the exhaustive "
-                                 "walk budget; use mode='sampled'") from exc
+                                 "budget; use mode='sampled'") from exc
         return ScanReport(s=gf.s, t=t, m=m, k=K, rows=book.M, mode="exhaustive",
                           ok=res.ok, checked=res.checked, witness=res.witness)
     if mode == "sampled":

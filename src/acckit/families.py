@@ -43,6 +43,9 @@ from .codec import json_int, json_ints, json_list, read_json, write_json
 _EXHAUSTIVE_LIMIT = 5 * 10**6
 # K=2 union scans switch to the packed path beyond this member count.
 _PACKED_THRESHOLD = 512
+# Above this many keys the packed K=2 scan is refused.  It holds 8 bytes
+# per key plus a 1-byte compare mask, so this also caps it near 0.9 GB.
+_PACKED_LIMIT = 10**8
 
 
 class FamilyError(ValueError):
@@ -286,17 +289,16 @@ def is_k_udf(family: SetFamily, K: int) -> VerifyResult:
     _require_family(family, K)
     n = family.n
     total = _subset_count(n, K)
-    if min(K, n) == 2 and family.universe.v <= 64 and n > _PACKED_THRESHOLD:
+    pair_scan = min(K, n) == 2 and family.universe.v <= 64 and n > _PACKED_THRESHOLD
+    if total > (_PACKED_LIMIT if pair_scan else _EXHAUSTIVE_LIMIT):
+        raise FamilyError(f"{total} unions exceed the exhaustive budget; use sample_udf")
+    if pair_scan:
         arr = np.array(family.members, dtype=np.uint64)
 
         def fill_pairs(i, dst):
             np.bitwise_or(arr[i], arr[i + 1:], out=dst)
 
         return _packed_pair_scan(arr, fill_pairs, "duplicate-union")
-    if total > _EXHAUSTIVE_LIMIT:
-        raise FamilyError(
-            f"{total} unions exceed the exhaustive budget; use sample_udf"
-        )
     seen: dict[int, tuple[int, ...]] = {}
     members = family.members
     checked = 0
@@ -473,7 +475,11 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     n = book.M
     total = _subset_count(n, K)
     s, m = book.s, book.m
-    if min(K, n) == 2 and (s * s) ** m < 2**63 and n > _PACKED_THRESHOLD:
+    pair_scan = min(K, n) == 2 and (s * s) ** m < 2**63 and n > _PACKED_THRESHOLD
+    if total > (_PACKED_LIMIT if pair_scan else _EXHAUSTIVE_LIMIT):
+        raise FamilyError(f"{total} subsets exceed the exhaustive budget; "
+                          "use sample_ud_code")
+    if pair_scan:
         # each coordinate's symbol set {lo, hi} is encoded as lo*s + hi and
         # the m codes are packed base s^2 into one integer per index set.
         # Since lo*s + hi = (s-1)*lo + (lo + hi) and lo + hi is the sum of
@@ -501,10 +507,6 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
 
         return _packed_pair_scan(packed * np.int64(s + 1), fill_pairs,
                                  "duplicate-symbol-set")
-    if total > _EXHAUSTIVE_LIMIT:
-        raise FamilyError(
-            f"{total} subsets exceed the exhaustive budget; use sample_ud_code"
-        )
     res = is_k_udf(_one_hot(book), K)
     if res.ok:
         return res

@@ -303,6 +303,8 @@ def test_formerly_accepted_files_are_rejected(tmp_path, capsys, kind, doc):
 
 @pytest.mark.parametrize("kind, text", [
     ("codebook", "0 1 2\n1 x 0\n"), ("codebook", "0 1.5 2\n"),
+    ("codebook", "0 1_0 2\n"), ("codebook", "0 +1 2\n"),
+    ("codebook", "0 \u0663 2\n"),
     ("codebook", "0 1 2\n1 2\n"), ("codebook", "\n\n"),
     ("code", "1100\n01x1\n"), ("code", "1100\n011\n"), ("code", ""),
 ])

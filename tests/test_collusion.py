@@ -141,6 +141,16 @@ def test_scan_exhaustive_up_to_the_walk_budget(capsys):
     assert "use mode='sampled'" in capsys.readouterr().err
 
 
+def test_scan_refuses_k2_past_the_packed_budget(capsys):
+    # 44,732 rows at K = 2 is about 10^9 packed keys (8 GB), over the
+    # packed scan's budget; the scan is refused before allocating them
+    with pytest.raises(CollusionError, match="44732 rows at K=2 .*'sampled'$"):
+        scan_remark6(GF(211), 2, 3, 2)
+    assert main(["scan-remark6", "--field", "211", "--t", "2", "--m", "3",
+                 "--K", "2"]) == 2
+    assert "use mode='sampled'" in capsys.readouterr().err
+
+
 def test_scan_bounds_and_preconditions():
     with pytest.raises(CollusionError):
         scan_remark6(GF(7), 3, 7, 3, mode="exhaustive")  # 392 rows > cap

@@ -310,6 +310,28 @@ def test_walk_budget_is_refused_before_the_walk():
         is_k_ud_code(CodeBook(s=20, m=2, rows=rows), 3)
 
 
+def test_packed_scans_refuse_past_the_key_budget(monkeypatch):
+    # 14,142 members at K = 2 are 100,005,153 keys, over the packed budget
+    # of 10**8; the refusal comes before any key array is allocated
+    assert fam_mod._PACKED_LIMIT == 10**8
+    with pytest.raises(FamilyError, match="^100005153 unions .*sample_udf$"):
+        is_k_udf(SetFamily(Universe(64), list(range(1, 14_143))), 2)
+    book = build_W(GF(211), 2, 3)  # 44,732 rows, about 10^9 keys
+    with pytest.raises(FamilyError, match="sample_ud_code"):
+        is_k_ud_code(book, 2)
+    # the budget is inclusive: 600 members give 180,300 keys
+    fam = SetFamily(Universe(64), list(range(1, 601)))
+    rows = np.array([[j // 25, j % 25] for j in range(600)])
+    book = CodeBook(s=25, m=2, rows=rows)
+    monkeypatch.setattr(fam_mod, "_PACKED_LIMIT", 180_300)
+    assert is_k_udf(fam, 2).checked == is_k_ud_code(book, 2).checked == 180_300
+    monkeypatch.setattr(fam_mod, "_PACKED_LIMIT", 180_299)
+    with pytest.raises(FamilyError, match="sample_udf"):
+        is_k_udf(fam, 2)
+    with pytest.raises(FamilyError, match="sample_ud_code"):
+        is_k_ud_code(book, 2)
+
+
 # ---------------------------------------------------------------------------
 # cover-free verification
 # ---------------------------------------------------------------------------
