@@ -177,12 +177,14 @@ def build_h0(code: CodeBook, family: SetFamily) -> SetFamily:
             f"inner family has {family.n} members, alphabet needs {code.s}")
     q = family.universe.v
     universe = Universe(code.m * q, product=(code.m, q))
+    # shifted[i][a]: inner member a moved into block i
+    shifted = [[mask << (i * q) for mask in family.members]
+               for i in range(code.m)]
     members = []
-    inner = family.members
-    for row in code.rows:
+    for row in code.rows.tolist():
         mask = 0
-        for i in range(code.m):
-            mask |= inner[int(row[i])] << (i * q)
+        for table, symbol in zip(shifted, row):
+            mask |= table[symbol]
         members.append(mask)
     return SetFamily(universe, members)
 

@@ -225,45 +225,46 @@ def stochastic_search(q: int, d: int, w: int, target_n: int,
             word |= 1 << k
         return word
 
-    def conflicts(word, others, skip=-1):
-        c = 0
-        for idx, other in enumerate(others):
-            if idx != skip and (word & other).bit_count() > max_overlap:
-                c += 1
-        return c
+    def clashes(word, skip):
+        """Per pool word: whether it overlaps `word` in more than
+        max_overlap places; False at position skip."""
+        flags = [(word & other).bit_count() > max_overlap for other in state]
+        flags[skip] = False
+        return flags
 
     # seed the pool greedily, then pad with random words
     state = list(greedy_lexicode(q, d, w).words[:target_n])
     while len(state) < target_n:
         state.append(random_word())
-    conflict_count = [conflicts(wd, state, skip=i) for i, wd in enumerate(state)]
+    # clash[i]: the flags of state[i] against the pool, kept symmetric
+    clash = [clashes(wd, i) for i, wd in enumerate(state)]
+    conflict_count = [sum(row) for row in clash]
     energy = sum(conflict_count) // 2
 
     best_words = _feasible_subset(state, max_overlap)
     t_start, t_end = 2.0, 0.02
     cool = (t_end / t_start) ** (1.0 / max(budget, 1))
     temp = t_start
+    bad = [i for i, c in enumerate(conflict_count) if c > 0]
     for _ in range(budget):
         if energy == 0:
             break
         temp *= cool
-        bad = [i for i, c in enumerate(conflict_count) if c > 0]
         i = rng.choice(bad)
         new_word = random_word()
-        new_c = conflicts(new_word, state, skip=i)
+        flags = clashes(new_word, i)
+        new_c = sum(flags)
         delta = new_c - conflict_count[i]
         if delta <= 0 or rng.random() < pow(2.718281828, -delta / temp):
-            old_word = state[i]
-            for idx, other in enumerate(state):
-                if idx == i:
-                    continue
-                had = (old_word & other).bit_count() > max_overlap
-                has = (new_word & other).bit_count() > max_overlap
+            for idx, (had, has) in enumerate(zip(clash[i], flags)):
                 if had != has:
                     conflict_count[idx] += 1 if has else -1
+                    clash[idx][i] = has
+            clash[i] = flags
             state[i] = new_word
             conflict_count[i] = new_c
             energy += delta
+            bad = [j for j, c in enumerate(conflict_count) if c > 0]
             if energy <= len(best_words):  # cheap gate before extracting
                 feasible = _feasible_subset(state, max_overlap)
                 if len(feasible) > len(best_words):

@@ -625,7 +625,7 @@ def _sample(prop: str, kind: str, packed: np.ndarray, K: int, kmax: int,
         j1, other = _draw_block(rng, n, kmax, kind)
         u1 = _unions(packed, j1)
         if kind == "cover":
-            hit = ~(packed[other] & ~u1).any(axis=1)
+            hit = _covered(packed, other, u1)
         else:
             hit = (u1 == _unions(packed, other)).all(axis=1)
         hits = np.flatnonzero(hit[:trials - start])
@@ -646,13 +646,18 @@ def _draw_block(rng, n: int, kmax: int, kind: str):
     trial, a target h uniform outside j1 (kind "cover") or a second index
     set j2 != j1 (the union kinds)."""
     j1 = _draw_sets(rng, n, kmax, _BLOCK)
+    # j1 views this (kmax, count) array; checks over its contiguous
+    # columns run several times faster than row-wise ones over j1
+    cols = j1.T
     if kind == "cover":
         return j1, _rejection(
             lambda rows: _uniform(rng, n, len(rows)),
-            lambda rows, h: (j1[rows] == h[:, None]).any(axis=1), _BLOCK)
+            lambda rows, h: (np.take(cols, rows, axis=1) == h).any(axis=0),
+            _BLOCK)
     return j1, _rejection(
         lambda rows: _draw_sets(rng, n, kmax, len(rows)),
-        lambda rows, j2: (j1[rows] == j2).all(axis=1), _BLOCK)
+        lambda rows, j2: (np.take(cols, rows, axis=1) == j2.T).all(axis=0),
+        _BLOCK)
 
 
 def _draw_sets(rng, n: int, kmax: int, count: int) -> np.ndarray:
@@ -712,10 +717,17 @@ def _uniform(rng, m: int, count: int) -> np.ndarray:
 
 
 def _unions(packed: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    u = packed[sets[:, 0]]
+    """Row t is the OR of the packed rows sets[t].  `np.take` gathers
+    whole rows several times faster than `packed[index]` does."""
+    u = np.take(packed, sets[:, 0], axis=0)
     for c in range(1, sets.shape[1]):
-        u |= packed[sets[:, c]]
+        u |= np.take(packed, sets[:, c], axis=0)
     return u
+
+
+def _covered(packed: np.ndarray, h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row t: whether packed row h[t] lies inside u[t]."""
+    return ~(np.take(packed, h, axis=0) & ~u).any(axis=1)
 
 
 def _require_family(family: SetFamily, K: int) -> None:

@@ -102,6 +102,19 @@ def reference_ud_code_walk(rows, K):
     return True, None, checked
 
 
+def naive_h0(rows, inner, q):
+    """The concatenated family by its definition: member j is the OR over
+    coordinates i of inner member rows[j][i] shifted into block i, that
+    is, by i * q bits."""
+    members = []
+    for row in rows:
+        mask = 0
+        for i, symbol in enumerate(row):
+            mask |= inner[symbol] << (i * q)
+        members.append(mask)
+    return members
+
+
 def naive_greedy_lexicode(q, d, w):
     """Words of the greedy lexicode by its definition: every weight-w word
     of length q, in lexicographic order of its support, is kept when it

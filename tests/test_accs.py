@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from acckit.accs import (AndAcc, ConstructionError, ConstructionRefused,
                          acc_to_family, build_h0, build_theorem1_acc,
@@ -14,6 +15,7 @@ from acckit.families import (FamilyError, SetFamily, Universe, is_k_cff,
                              is_k_udf, is_partial_cff)
 from acckit.gf import GF
 
+from _oracles import naive_h0
 from conftest import EXAMPLE1_SETS
 
 
@@ -57,6 +59,29 @@ def test_build_h0_block_restriction_matches_inner_member():
             for i in range(m):
                 restriction = (h0.members[j] >> (i * q)) & block_mask
                 assert restriction == members[rows[j][i]]
+
+
+@st.composite
+def h0_inputs(draw):
+    """A codebook over s symbols, m = 1..5 coordinates, whose rows may
+    leave symbols unused, and an inner family of s members over q
+    elements."""
+    s, m, q = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 20))
+    used = draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=s, unique=True))
+    rows = draw(st.lists(st.lists(st.sampled_from(used), min_size=m, max_size=m),
+                         min_size=1, max_size=10))
+    inner = draw(st.lists(st.integers(1, 2**q - 1), min_size=s, max_size=s))
+    return CodeBook(s=s, m=m, rows=np.array(rows)), SetFamily(Universe(q), inner)
+
+
+@given(h0_inputs())
+def test_build_h0_matches_naive_oracle(case):
+    book, fam = case
+    q = fam.universe.v
+    h0 = build_h0(book, fam)
+    assert h0.members == naive_h0(book.row_tuples(), fam.members, q)
+    assert h0.universe.v == book.m * q
+    assert h0.universe.product == (book.m, q)
 
 
 def test_build_h0_alphabet_mismatch(example2_book):

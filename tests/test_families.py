@@ -908,6 +908,43 @@ def test_draw_sets_matches_row_wise_floyd_reference():
         assert rng.getstate() == ref_rng.getstate()
 
 
+@st.composite
+def packed_rows_and_sets(draw):
+    """Members over v = 1..192 elements (rows of 1-3 words, the top bit of
+    the universe often set), index sets over 0..n that may hold the
+    padding row n, and one target member per set."""
+    v = draw(st.one_of(st.integers(1, 192), st.sampled_from([64, 65, 128])))
+    mask = st.one_of(st.integers(1, 2**v - 1),
+                     st.sampled_from([1, 2**v - 1, 1 << (v - 1)]))
+    masks = draw(st.lists(mask, min_size=1, max_size=8))
+    n, kmax = len(masks), draw(st.integers(1, 4))
+    count = draw(st.integers(1, 8))
+    sets = draw(st.lists(st.lists(st.integers(0, n), min_size=kmax,
+                                  max_size=kmax),
+                         min_size=count, max_size=count))
+    h = draw(st.lists(st.integers(0, n - 1), min_size=count,
+                      max_size=count))
+    return v, masks, sets, h
+
+
+@given(packed_rows_and_sets())
+def test_unions_and_cover_check_match_python_ints(case):
+    # the sampler's row gathers against a per-row OR of Python ints,
+    # with index n standing for the empty padding row
+    v, masks, sets, h = case
+    packed = fam_mod._packed_rows(masks, v)
+    assert packed.shape == (len(masks) + 1, -(-v // 64))
+    u = fam_mod._unions(packed, np.array(sets, dtype=np.int64))
+    covered = fam_mod._covered(packed, np.array(h, dtype=np.int64), u)
+    padded = masks + [0]
+    for t, S in enumerate(sets):
+        want = 0
+        for j in S:
+            want |= padded[j]
+        assert int.from_bytes(u[t].astype("<u8").tobytes(), "little") == want
+        assert bool(covered[t]) == (masks[h[t]] & ~want == 0)
+
+
 def test_sampler_reports_are_pinned(example1_family, example2_book):
     # reports of the batched-v1 stream: a change to the draws shows here
     dense = SetFamily.from_sets(Universe(6), [[0, 1], [2], [0, 1]])
@@ -923,6 +960,32 @@ def test_sampler_reports_are_pinned(example1_family, example2_book):
          Witness("cover", j2=(0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11), covered=5)),
         (sample_ud_code(example2_book, 3, 5000, seed=3), 13,
          Witness("duplicate-symbol-set", (7, 9, 11), (9, 11))),
+    ]
+    # rows of several words: members share element 5 of word 0 and differ
+    # only in words 1 and 2, and the book's one-hot universe has 80
+    # elements, coordinate i in bits 4i..4i+3
+    base = [[5, 64 + 7 * j, 130 + 5 * j] for j in range(9)]
+    wide = SetFamily.from_sets(Universe(200), base + [
+        base[0] + base[1], base[2] + base[7], base[3] + base[4] + base[8]])
+    patterns = [0, 0xFFFFF, 0xF0000, 0x0FFFF, 0x30000, 0xCFFFF, 0x00F0F]
+    rows = [[(p >> i) & 1 for i in range(20)] for p in patterns]
+    rows += [[2 + ((p >> i) & 1) for i in range(20)]
+             for p in (0, 0xFFFFF, 0x80000)]
+    book = CodeBook(s=4, m=20, rows=np.array(rows))
+    assert fam_mod._one_hot(book).universe.v == 80
+    cases += [
+        (sample_udf(wide, 2, 5000, seed=0), 31,
+         Witness("duplicate-union", (7, 10), (10,))),
+        (sample_cff(wide, 2, 5000, seed=0), 415,
+         Witness("cover", j2=(10,), covered=2)),
+        (sample_udf(wide, 3, 5000, seed=1), 26,
+         Witness("duplicate-union", (1, 9, 11), (9, 11))),
+        (sample_cff(wide, 3, 5000, seed=1), 556,
+         Witness("cover", j2=(9, 10), covered=0)),
+        (sample_ud_code(book, 2, 5000, seed=0), 3,
+         Witness("duplicate-symbol-set", (4, 5), (0, 1))),
+        (sample_ud_code(book, 3, 5000, seed=2), 40,
+         Witness("duplicate-symbol-set", (1, 3, 4), (0, 1, 3))),
     ]
     for rep, violations, witness in cases:
         assert rep.sampler == "batched-v1"
