@@ -23,7 +23,7 @@ from .arrays import CodeBook, min_distance
 from .codec import (bits_to_str, json_int, json_list, read_json, str_to_bits,
                     write_json)
 from .families import (SetFamily, Universe, Witness, _canonical_cover_witness,
-                       is_k_cff, is_k_udf, is_k_ud_code)
+                       distance_slack, is_k_cff, is_k_udf, is_k_ud_code)
 
 MODES = ("exhaustive", "structural", "sampled")
 
@@ -272,8 +272,9 @@ def check_theorem2_conditions(code: CodeBook, f: SetFamily, g: SetFamily,
     cert.add("K < m", "exhaustive", K < m, params={"K": K, "m": m})
 
     d = min_distance(code)
-    cert.add("distance condition K(m-d) < m", "exhaustive",
-             K * (m - d) < m, params={"d": d, "slack": m - K * (m - d)})
+    slack = distance_slack(m, d, K)
+    cert.add("distance condition K(m-d) < m", "exhaustive", slack > 0,
+             params={"d": d, "slack": slack})
 
     fres = is_k_cff(f, K)
     cert.add("inner family is K-CFF", "exhaustive", fres.ok,

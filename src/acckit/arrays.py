@@ -271,15 +271,7 @@ def min_distance(book: CodeBook) -> int:
         if len(nz) == 0:
             return 0
         return int(nz.min())
-    rows = book.rows
-    best = book.m
-    for i in range(book.M - 1):
-        d = int((rows[i] != rows[i + 1:]).sum(axis=1).min())
-        if d < best:
-            best = d
-            if best == 0:
-                break
-    return best
+    return book.m - _max_coincidences(book.rows, None, book.m)[0]
 
 
 @dataclass(frozen=True)

@@ -315,7 +315,7 @@ def cmd_scan_remark6(args) -> int:
 
 def cmd_preset_run(args) -> int:
     result = presets.run_preset(args.name, fixtures=args.fixtures,
-                                out_dir=args.out_dir, deep=args.deep)
+                                out_dir=args.out_dir)
     if args.json:
         print(json.dumps(result.summary, sort_keys=True))
     else:
@@ -490,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("name", choices=sorted(presets.PRESETS))
     q.add_argument("--fixtures", help="fixture directory override")
     q.add_argument("--out-dir", help="write code/certificate/summary files")
-    q.add_argument("--deep", action="store_true",
-                   help="include long-running exhaustive output checks")
     _add_common(q, cmd_preset_run)
     q = psub.add_parser("list")
     _add_common(q, cmd_preset_list)

@@ -513,11 +513,15 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     return replace(res, witness=replace(res.witness, kind="duplicate-symbol-set"))
 
 
+def distance_slack(m: int, d: int, K: int) -> int:
+    """m - K(m - d): positive exactly when the condition K(m - d) < m holds."""
+    return m - K * (m - d)
+
+
 def check_distance_condition(book: CodeBook, K: int) -> bool:
     """Sufficient condition K(m - d) < m on the minimum distance d; when it
     holds the codebook is K-union-distinct."""
-    d = min_distance(book)
-    return K * (book.m - d) < book.m
+    return distance_slack(book.m, min_distance(book), K) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_criterion_04_full_scale_concatenation():
 
 def test_criterion_05_full_scale_augmentation_exhaustive():
     t0 = time.monotonic()
-    result = run_preset("example4", deep=True)
+    result = run_preset("example4")
     acc = result.acc
     assert (acc.v, acc.n, acc.K) == (49, 357, 3)
     assert acc.n == 343 + 2 * 7
@@ -125,8 +125,17 @@ def test_criterion_05_full_scale_augmentation_exhaustive():
                  "inner family is K-CFF", "cross-cover condition on G"):
         entry = by_name[name]
         assert entry["result"] and entry["mode"] == "exhaustive", name
-    deep_entry = by_name["output family is K-CFF"]
-    assert deep_entry["result"] and deep_entry["mode"] == "exhaustive"
+    cff = by_name["output family is K-CFF"]
+    assert cff["result"] and cff["mode"] == "exhaustive"
+    # n * sum_{k=1..K} C(n - 1, k) cover checks, and no witness
+    assert cff["params"] == {"checked": 2_684_627_862}
+    assert 2_684_627_862 == 357 * sum(comb(356, k) for k in (1, 2, 3))
+    assert "witness" not in cff
+    udf = by_name["output family is K-UDF"]
+    assert udf["result"] and udf["mode"] == "exhaustive"
+    outputs = [e for e in result.summary["conditions"]
+               if e["name"].startswith("output family")]
+    assert {e["mode"] for e in outputs} == {"exhaustive"}
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
 
@@ -189,6 +198,7 @@ def test_criterion_07_resilience_four():
     assert iv["mode"] == "exhaustive" and iv["params"]["members"] == 11
     assert by_name["output family is K-CFF"]["mode"] == "structural"
     sampled = by_name["output family union-distinct (sampled)"]
+    assert sampled["mode"] == "sampled"
     assert sampled["result"] and sampled["params"]["trials"] == 10**6
     assert sampled["params"]["violations"] == 0
     assert sampled["params"] == {"trials": 10**6, "violations": 0, "seed": 0,

@@ -96,6 +96,9 @@ def test_verify_oa_grid():
 def test_min_distance_and_coincidences(example2_book):
     assert min_distance(example2_book) == 1
     assert min_distance(build_U(GF(31), 3, 7)) == 5
+    # a repeated row, here the first and the last, gives d = 0
+    rows = np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1], [0, 1, 2]])
+    assert min_distance(CodeBook(s=3, m=3, rows=rows)) == 0
     assert coincidences((0, 0, 0), (2, 0, 0)) == 2
     assert coincidences((0, 1, 2), (2, 0, 1)) == 0
     with pytest.raises(ParameterError):

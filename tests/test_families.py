@@ -439,6 +439,29 @@ def test_cover_kernel_matches_oracle(instance, data):
     assert _pair(tail) == naive_cover_witness(members, K, range(a, n))
 
 
+@st.composite
+def constant_weight_instances(draw):
+    """2..10 distinct w-sets over v <= 12 elements with K in 2..4: equal
+    weights make a good share of them K-cover-free."""
+    K = draw(st.integers(2, 4))
+    v = draw(st.integers(K + 1, 12))
+    w = draw(st.integers(1, v))
+    sets = draw(st.lists(st.sets(st.integers(0, v - 1), min_size=w,
+                                 max_size=w),
+                         min_size=2, max_size=10, unique_by=frozenset))
+    return SetFamily.from_sets(Universe(v), sets), K
+
+
+@given(st.one_of(cover_instances(), constant_weight_instances()))
+def test_cff_implies_naive_udf(instance):
+    # SetFamily has no empty member, so a K-cover-free family is
+    # K-union-distinct: example4's exhaustive K-UDF entry rests on this
+    fam, K = instance
+    cff = is_k_cff(fam, K).ok
+    event(f"K-CFF at K = {K}" if cff else "covered")
+    assert not cff or naive_udf(fam.members, K)[0]
+
+
 def test_cff_planted_cover_at_scale():
     # example4's output (357 members, K = 3) plus one member that a pair of
     # others covers: three elements of member 350 and one element in each

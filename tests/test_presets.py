@@ -99,12 +99,3 @@ def test_example3_fallback_inner_family(tmp_path):
                for note in result.summary["notes"])
     by_name = {e["name"]: e for e in result.summary["conditions"]}
     assert by_name["output family is K-UDF"]["result"]
-
-
-def test_sampled_entry_names_the_sampler():
-    result = run_preset("example4")
-    by_name = {e["name"]: e for e in result.summary["conditions"]}
-    sampled = by_name["output family union-distinct (sampled)"]
-    assert sampled["mode"] == "sampled"
-    assert sampled["params"] == {"trials": 10**6, "violations": 0, "seed": 0,
-                                 "sampler": "batched-v1"}
