@@ -18,8 +18,13 @@ Three properties are covered:
   sampled and replayed as its one-hot family (`_one_hot`).
 
 For K = 2 at scale, a sort-based duplicate scan over packed 64-bit keys
-replaces the dictionary walk; verdicts are identical and the canonical
-witness is recovered by walking only the index sets whose key repeats.
+replaces the dictionary walk.  Each row gets a label such that equal keys
+come from label pairs of the same class; whole classes are packed into
+batches of about 2^17 keys, and each batch is filled, sorted and checked
+on its own, one batch per CPU at a time, so the scan holds a few MB per
+worker rather than one array of every key.  Verdicts are identical, and
+the canonical witness is recovered by walking only the index sets whose
+key repeats.
 Cover-freeness runs one exact kernel per target over the distinct
 projections of the other members onto it, which yields the verdict and
 the canonical witness in one pass.
@@ -28,6 +33,7 @@ the canonical witness in one pass.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass, replace
 from math import comb
@@ -43,9 +49,15 @@ from .codec import json_int, json_ints, json_list, read_json, write_json
 _EXHAUSTIVE_LIMIT = 5 * 10**6
 # K=2 union scans switch to the packed path beyond this member count.
 _PACKED_THRESHOLD = 512
-# Above this many keys the packed K=2 scan is refused.  It holds 8 bytes
-# per key plus a 1-byte compare mask, so this also caps it near 0.9 GB.
+# Above this many keys the packed K=2 scan is refused.  Its memory is a
+# few batches, so this bounds its time: 10^8 keys take about 1.5 s on two
+# CPUs.
 _PACKED_LIMIT = 10**8
+# The packed scan sorts its keys in batches of about this many (1 MB),
+# whole classes at a time; a class larger than that is a batch alone.
+_PACKED_BATCH = 2**17
+# At most this many row labels, so at most 8,256 label pairs.
+_PACKED_LABELS = 128
 
 
 class FamilyError(ValueError):
@@ -293,12 +305,13 @@ def is_k_udf(family: SetFamily, K: int) -> VerifyResult:
     if total > (_PACKED_LIMIT if pair_scan else _EXHAUSTIVE_LIMIT):
         raise FamilyError(f"{total} unions exceed the exhaustive budget; use sample_udf")
     if pair_scan:
+        # a row's label is its member's top field of min(v, 16) bits: the
+        # top field of a union is the OR of its members' fields
         arr = np.array(family.members, dtype=np.uint64)
-
-        def fill_pairs(i, dst):
-            np.bitwise_or(arr[i], arr[i + 1:], out=dst)
-
-        return _packed_pair_scan(arr, fill_pairs, "duplicate-union")
+        top = arr >> np.uint64(max(family.universe.v - 16, 0))
+        return _packed_pair_scan(
+            arr, lambda I, J, out: np.bitwise_or(arr[I, None], arr[J], out=out),
+            top, np.bitwise_or, "duplicate-union")
     seen: dict[int, tuple[int, ...]] = {}
     members = family.members
     checked = 0
@@ -314,44 +327,155 @@ def is_k_udf(family: SetFamily, K: int) -> VerifyResult:
     return VerifyResult(True, None, checked)
 
 
-def _packed_pair_scan(single: np.ndarray, fill_pairs, kind: str) -> VerifyResult:
-    """K = 2 duplicate scan over packed keys.
+def _packed_pair_scan(single, outer, labels, klass, kind: str) -> VerifyResult:
+    """K = 2 duplicate scan over packed keys, sorted one batch at a time.
 
-    `single` holds the keys of the n singletons; fill_pairs(i, dst) writes
-    the keys of pairs (i, i+1), ..., (i, n-1) into dst.  All keys go into
-    one array in canonical order, which is sorted to find equal
-    neighbours.  On a duplicate the array is refilled in canonical order
-    and only the positions holding a duplicated key are walked, block by
-    block, which yields the same first witness as the dictionary walk.
+    `single` holds the uint64 keys of the n singletons, and outer(I, J,
+    out) writes into the uint64 array `out` the keys of the index sets
+    {i, j}, i in I and j in J, as a len(I) x len(J) table; where i = j
+    that is the singleton {i}.  Each row carries a non-negative integer
+    label, and klass(g, h) maps label pairs (arrays, g <= h) to classes
+    such that equal keys always fall in the same class, also after the
+    labels are shifted right (which is how `_batches` coarsens too many
+    labels).  Whole classes are packed into batches of about
+    `_PACKED_BATCH` keys, and each batch is filled, sorted and checked for
+    equal neighbours on its own, on a thread pool when there are several
+    batches and CPUs.  On a duplicate, `_first_repeat` walks the index
+    sets whose key repeats in canonical order, which yields the same first
+    witness as the dictionary walk.
     """
     n = len(single)
+    batches = _batches(labels, klass)
+
+    def scan(batch):
+        size, pieces = batch
+        keys = np.empty(size, np.uint64)
+        pos = 0
+        for I, J, tri in pieces:
+            if tri:
+                block = _table(outer, I, J)[_triu((len(I), len(J)), 0)]
+                keys[pos:pos + len(block)] = block
+            else:
+                block = keys[pos:pos + len(I) * len(J)]
+                outer(I, J, block.reshape(len(I), len(J)))
+            pos += len(block)
+        keys.sort()
+        dup = keys[1:] == keys[:-1]
+        return keys[1:][dup]
+
+    workers = min(len(batches), _cpu_count())
+    if workers > 1:
+        # imported here: the import costs about 10 ms of start-up
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            dups = list(pool.map(scan, batches))
+    else:
+        dups = [scan(batch) for batch in batches]
+    dup = np.unique(np.concatenate(dups))
     total = n + n * (n - 1) // 2
-    keys = np.empty(total, dtype=single.dtype)
-    # block 0 holds the singletons, block b > 0 the pairs (b - 1, j > b - 1)
-    bounds = [0, *itertools.accumulate(range(n - 1, 0, -1), initial=n)]
-    blocks = [keys[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    def fill():
-        blocks[0][:] = single
-        for i in range(n - 1):
-            fill_pairs(i, blocks[i + 1])
-
-    fill()
-    keys.sort()
-    dup = keys[1:] == keys[:-1]
-    if not dup.any():
+    if not len(dup):
         return VerifyResult(True, None, total)
-    dup_keys = np.unique(keys[1:][dup])
-    fill()
+    witness = Witness(kind, *_first_repeat(single, outer, dup))
+    return VerifyResult(False, witness, total)
+
+
+def _batches(labels, klass) -> list:
+    """The packed scan's batches, as (key count, pieces).
+
+    Rows are grouped by label, after shifting the labels right until at
+    most `_PACKED_LABELS` remain.  The label pairs g <= h are ordered by
+    class, then by (g, h).  A class joins batch b when the keys before it
+    number b * B up to (b + 1) * B, B = `_PACKED_BATCH`, so every batch
+    ends on a class boundary.  A piece (I, J, tri) holds the index sets
+    I x J: the label pairs (g, h), (g, h + 1), ... of one batch form one
+    rectangle, and a pair (g, g) the upper triangle of its group, diagonal
+    included (tri), in strips of rows with J[:len(I)] = I."""
+    labels = labels.astype(np.int64)
+    while len(np.unique(labels)) > _PACKED_LABELS:
+        labels >>= 1
+    values, lab = np.unique(labels, return_inverse=True)
+    perm = np.argsort(lab, kind="stable")
+    start = np.r_[0, np.cumsum(np.bincount(lab))]
+    count = np.diff(start)
+    g, h = np.triu_indices(len(values))
+    size = np.where(g == h, count[g] * (count[g] + 1) // 2,
+                    count[g] * count[h])
+    cls = klass(values[g], values[h])
+    order = np.lexsort((h, g, cls))
+    g, h, size, cls = g[order], h[order], size[order], cls[order]
+    offset = np.cumsum(size) - size
+    first = np.r_[True, cls[1:] != cls[:-1]]
+    batch = np.maximum.accumulate(np.where(first, offset, 0)) // _PACKED_BATCH
+    cuts = np.flatnonzero(np.diff(batch)) + 1
+    out = []
+    for seg, keys in zip(np.split(np.arange(len(g)), cuts),
+                         np.add.reduceat(size, np.r_[0, cuts]).tolist()):
+        rects = []
+        for a, b in zip(g[seg].tolist(), h[seg].tolist()):
+            last = rects[-1] if rects else None
+            if last and last[0] == a != last[1] and last[2] == b - 1:
+                last[2] = b
+            else:
+                rects.append([a, b, b])
+        pieces = []
+        for a, b0, b1 in rects:
+            I = perm[start[a]:start[a + 1]]
+            if a == b0:
+                step = max(1, _PACKED_BATCH // len(I))
+                pieces += [(I[r:r + step], I[r:], True)
+                           for r in range(0, len(I), step)]
+            else:
+                pieces.append((I, perm[start[b0]:start[b1 + 1]], False))
+        out.append((keys, pieces))
+    return out
+
+
+def _table(outer, I, J) -> np.ndarray:
+    out = np.empty((len(I), len(J)), np.uint64)
+    outer(I, J, out)
+    return out
+
+
+def _triu(shape, k: int) -> np.ndarray:
+    """Mask of the entries (r, c) of a table with c >= r + k."""
+    return np.triu(np.ones(shape, dtype=bool), k)
+
+
+def _first_repeat(single, outer, dup) -> tuple:
+    """The first index set, by size then lex, whose key repeats an earlier
+    one's, and that earlier one.  Only index sets whose key lies in the
+    sorted array `dup` are walked: the singletons, then the pairs in
+    strips of rows, up to the first repeat."""
+    n = len(single)
+    rows = np.arange(n)
+    step = max(1, _PACKED_BATCH // n)
+
+    def repeated(keys):
+        return dup[np.minimum(np.searchsorted(dup, keys), len(dup) - 1)] == keys
+
+    def chunks():
+        hit = np.flatnonzero(repeated(single))
+        yield single[hit].tolist(), [(p,) for p in hit.tolist()]
+        for a in range(0, n - 1, step):
+            table = _table(outer, rows[a:a + step], rows[a:])
+            r, c = np.nonzero(repeated(table) & _triu(table.shape, 1))
+            yield table[r, c].tolist(), zip((a + r).tolist(), (a + c).tolist())
+
     seen: dict[int, tuple[int, ...]] = {}
-    for b, block in enumerate(blocks):
-        for p in np.flatnonzero(np.isin(block, dup_keys)).tolist():
-            J = (p,) if b == 0 else (b - 1, b + p)
-            key = int(block[p])
+    for keys, index_sets in chunks():
+        for key, J in zip(keys, index_sets):
             if key in seen:
-                return VerifyResult(False, Witness(kind, seen[key], J), total)
+                return seen[key], J
             seen[key] = J
     raise AssertionError("duplicate keys reported but not found on refill")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -483,30 +607,26 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
         # each coordinate's symbol set {lo, hi} is encoded as lo*s + hi and
         # the m codes are packed base s^2 into one integer per index set.
         # Since lo*s + hi = (s-1)*lo + (lo + hi) and lo + hi is the sum of
-        # the two symbols, the key of the pair (i, j) is (s-1)*L + P[i] +
-        # P[j], where P packs each row base s^2 and L packs the coordinate-
-        # wise minima, filled in place column by column (last coordinate
-        # first, Horner's rule).  No partial sum exceeds the key, so none
-        # overflows.
-        s2, s_1 = np.int64(s * s), np.int64(s - 1)
-        rows = book.rows.astype(np.int64)
-        packed = rows @ (s2 ** np.arange(m, dtype=np.int64))
-        cols = [np.ascontiguousarray(rows[:, c]) for c in reversed(range(m))]
-        lo_buf = np.empty(n, np.int64)
+        # the two symbols, the key of the pair (i, j) is P[i] + P[j] plus
+        # the sum over the coordinates c of min(x[i, c], x[j, c]) * (s-1) *
+        # s^(2c), where P packs each row base s^2.  Every term is below the
+        # key, so nothing overflows.  A row's label is its symbol in the
+        # coordinate with the most distinct symbols: that coordinate's
+        # symbol set, a class, is part of the key.
+        rows = book.rows.astype(np.uint64)
+        s2 = np.uint64(s * s) ** np.arange(m, dtype=np.uint64)
+        packed = rows @ s2
+        scaled = [rows[:, c] * (s2[c] * np.uint64(s - 1)) for c in range(m)]
 
-        def fill_pairs(i, dst):
-            lo = lo_buf[:len(dst)]
-            np.minimum(cols[0][i + 1:], cols[0][i], out=dst)
-            for col in cols[1:]:
-                np.minimum(col[i + 1:], col[i], out=lo)
-                dst *= s2
-                dst += lo
-            dst *= s_1
-            dst += packed[i + 1:]
-            dst += packed[i]
+        def outer(I, J, out):
+            np.add(packed[I, None], packed[J], out=out)
+            low = np.empty_like(out)
+            for col in scaled:
+                out += np.minimum(col[I, None], col[J], out=low)
 
-        return _packed_pair_scan(packed * np.int64(s + 1), fill_pairs,
-                                 "duplicate-symbol-set")
+        label = max(book.rows.T, key=lambda col: len(np.unique(col)))
+        return _packed_pair_scan(packed * np.uint64(s + 1), outer, label,
+                                 lambda g, h: g * s + h, "duplicate-symbol-set")
     res = is_k_udf(_one_hot(book), K)
     if res.ok:
         return res

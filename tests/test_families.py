@@ -1,3 +1,5 @@
+import concurrent.futures
+import contextlib
 import itertools
 import json
 import math
@@ -5,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,28 +224,58 @@ def packable_families(draw):
     return SetFamily.from_sets(Universe(v), sets)
 
 
-@given(packable_families())
-def test_udf_packed_scan_matches_walk_and_oracle(fam):
-    # each family is also checked in reverse member order, which moves
-    # duplicates planted among the first members to the last ones
-    for members in (fam.members, fam.members[::-1]):
-        _check_packed_udf(SetFamily(fam.universe, members))
+# How a test forces the packed scan's partition: the rows' labels ("one"
+# gives every row label 0, "distinct" gives row j label j under a single
+# class spanning every label pair, "caller" keeps the caller's labels and
+# classes), the batch size, which tiny batches split at class boundaries,
+# and the labels cap, which below the label count coarsens the labels.
+partitions = st.tuples(
+    st.sampled_from(["one", "distinct", "caller", "caller"]),
+    st.one_of(st.integers(1, 8), st.just(2**17)),
+    st.sampled_from([1, 2, 3, 128]))
 
 
-def _check_packed_udf(fam):
-    calls = []
+@contextlib.contextmanager
+def forced_packed_scan(labelling="caller", batch=2**17, labels_cap=128):
+    """The packed K = 2 path, forced by lowering the threshold, under the
+    partition given (see `partitions`); yields the list of the witness
+    kinds the packed scans ran with."""
+    kinds = []
     scan = fam_mod._packed_pair_scan
 
     def spy(*args):
-        calls.append(1)
-        return scan(*args)
+        single, outer, labels, klass, kind = args
+        kinds.append(kind)
+        if labelling == "one":
+            labels = np.zeros_like(labels)
+        elif labelling == "distinct":
+            labels, klass = np.arange(len(labels)), lambda g, h: 0 * g
+        return scan(single, outer, labels, klass, kind)
 
-    walk = is_k_udf(fam, 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fam_mod, "_PACKED_THRESHOLD", 1)
+        mp.setattr(fam_mod, "_PACKED_BATCH", batch)
+        mp.setattr(fam_mod, "_PACKED_LABELS", labels_cap)
         mp.setattr(fam_mod, "_packed_pair_scan", spy)
+        yield kinds
+
+
+@given(packable_families(), partitions)
+def test_udf_packed_scan_matches_walk_and_oracle(fam, partition):
+    # each family is also checked in reverse member order, which moves
+    # duplicates planted among the first members to the last ones.  Under
+    # "caller", families over v <= 16 are labelled by whole members and
+    # wider ones by a 16-bit top field, so OR classes span label pairs.
+    event(partition[0])
+    for members in (fam.members, fam.members[::-1]):
+        _check_packed_udf(SetFamily(fam.universe, members), partition)
+
+
+def _check_packed_udf(fam, partition):
+    walk = is_k_udf(fam, 2)
+    with forced_packed_scan(*partition) as kinds:
         packed = is_k_udf(fam, 2)
-    assert calls == [1]
+    assert kinds == ["duplicate-union"]
     ok, pair = naive_udf(fam.members, 2)
     event("2-UD" if ok else "duplicate union")
     assert packed.ok == walk.ok == ok
@@ -598,29 +631,21 @@ def packable_codebooks(draw):
     return CodeBook(s=s, m=m, rows=np.array(rows, dtype=np.int64))
 
 
-def _ud_code_both_paths(book):
+def _ud_code_both_paths(book, partition=()):
     """K = 2 verdicts of the dictionary walk and of a packed scan (forced
-    by lowering the threshold), and the witness kinds the packed scans
-    ran with: "duplicate-symbol-set" for the base-s^2 code scan,
+    under `partition`, see `partitions`), and the witness kinds the packed
+    scans ran with: "duplicate-symbol-set" for the base-s^2 code scan,
     "duplicate-union" for the union scan of the one-hot family."""
-    kinds = []
-    scan = fam_mod._packed_pair_scan
-
-    def spy(single, fill_pairs, kind):
-        kinds.append(kind)
-        return scan(single, fill_pairs, kind)
-
     walk = is_k_ud_code(book, 2)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fam_mod, "_PACKED_THRESHOLD", 1)
-        mp.setattr(fam_mod, "_packed_pair_scan", spy)
+    with forced_packed_scan(*partition) as kinds:
         packed = is_k_ud_code(book, 2)
     return walk, packed, kinds
 
 
-@given(packable_codebooks())
-def test_ud_code_packed_scan_matches_walk_and_oracle(book):
-    walk, packed, kinds = _ud_code_both_paths(book)
+@given(packable_codebooks(), partitions)
+def test_ud_code_packed_scan_matches_walk_and_oracle(book, partition):
+    event(partition[0])
+    walk, packed, kinds = _ud_code_both_paths(book, partition)
     assert kinds == ["duplicate-symbol-set"]
     event("2-UD" if walk.ok else "duplicate symbol set")
     assert packed.ok == walk.ok == naive_ud_code(book.row_tuples(), 2)[0]
@@ -660,6 +685,22 @@ def test_ud_code_packing_boundary():
     assert fallback.witness == walk.witness == packed.witness
     assert fallback.checked == packed.checked == 7 + math.comb(7, 2)
     assert replay_witness(wider, fallback.witness)
+
+
+def test_packed_scan_of_one_batch_starts_no_threads(monkeypatch):
+    # 20 rows give 210 keys, one batch: the scan runs inline
+    fam = SetFamily(Universe(20), [1 << j for j in range(20)])
+    book = CodeBook(s=5, m=2, rows=np.array([[j // 5, j % 5]
+                                             for j in range(20)]))
+    walks = [is_k_udf(fam, 2), is_k_ud_code(book, 2)]
+
+    def no_pool(*args):
+        raise AssertionError("thread pool started for a one-batch scan")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(fam_mod, "_PACKED_THRESHOLD", 1)
+    assert [is_k_udf(fam, 2), is_k_ud_code(book, 2)] == [
+        walks[0], replace(walks[1], checked=210)]
 
 
 @st.composite
