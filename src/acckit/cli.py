@@ -66,8 +66,9 @@ def cmd_field_elements(args) -> int:
 
 def cmd_field_table(args) -> int:
     gf = parse_field(args.field)
-    add = [[gf.add(a, b) for b in range(gf.s)] for a in range(gf.s)]
-    mul = [[gf.mul(a, b) for b in range(gf.s)] for a in range(gf.s)]
+    elems = gf.elements()
+    add = [gf.add(a, elems).tolist() for a in elems]
+    mul = [gf.mul(a, elems).tolist() for a in elems]
     if args.json:
         _emit({"s": gf.s, "add": add, "mul": mul}, True)
     else:

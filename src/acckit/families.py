@@ -89,12 +89,6 @@ class Universe:
             raise FamilyError(f"({i}, {l}) outside {{1..{m}}} x {{0..{q - 1}}}")
         return (i - 1) * q + l
 
-    def label(self, idx: int) -> str:
-        if self.product is not None:
-            _, q = self.product
-            return f"({idx // q + 1},{idx % q})"
-        return str(idx)
-
     def to_json_dict(self) -> dict:
         prod = None
         if self.product is not None:

@@ -1,22 +1,32 @@
 """Exact arithmetic over GF(p^e) with elements encoded as integers.
 
-An element with coefficient vector (c_0, ..., c_{e-1}) over GF(p) is stored
-as the integer sum c_i * p^i.  Element 0 is therefore the additive identity
-and element 1 the multiplicative identity, and for prime fields the encoding
-coincides with ordinary residues mod p.  A ``GF`` object validates its
-parameters once and is immutable afterwards; every operation is a pure
-function of integer inputs, so field objects can be shared freely across
-workers.
+GF(p^e) is GF(p)[x]/(f) for a monic irreducible f of degree e.  An element
+with coefficient vector (c_0, ..., c_{e-1}) over GF(p) is stored as the
+integer sum c_i * p^i, so element 0 is the additive identity, element 1 the
+multiplicative identity, and for prime fields the encoding coincides with
+ordinary residues mod p.
+
+All arithmetic runs through one path on ints and integer numpy arrays:
+elements are split into base-p digit vectors (`GF._digits`), added digitwise
+mod p, or multiplied as coefficient polynomials and reduced top-down by f
+(`_reduce`), and joined back into integers (`GF._join`).  A prime field is
+GF(p)[x]/(x), so its product is a * b mod p with no separate branch.  Fields
+of at most 512 elements also keep read-only add/mul tables, filled by one
+call of each operation over the index grid, and `add` and `mul` look them
+up.  A ``GF`` object validates its parameters once and is immutable
+afterwards.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
 
 # Full add/mul lookup tables are built for fields up to this size; larger
-# fields fall back to direct modular / polynomial arithmetic.
+# fields compute every operation on digit vectors.
 _TABLE_LIMIT = 512
 
 # Built-in irreducible monic moduli, ascending coefficients (c_0, ..., c_e).
@@ -40,6 +50,11 @@ class FieldError(ValueError):
     """Invalid field specification or out-of-range element."""
 
 
+def _unwrap(x):
+    """A 0-d result as a Python int; arrays as they are."""
+    return int(x) if np.ndim(x) == 0 else x
+
+
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate for n < 2^16."""
     if n < 2:
@@ -56,74 +71,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p).  Polynomials are tuples of ascending
-# coefficients with no trailing zeros (except the zero polynomial ()).
-# ---------------------------------------------------------------------------
-
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, mod, p):
-    """Remainder of a divided by mod (monic) over GF(p)."""
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, c in enumerate(mod):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_eval(c, x, p):
-    y = 0
-    for coeff in reversed(c):
-        y = (y * x + coeff) % p
-    return y
-
-
-def _all_monic_polys(degree, p):
-    """Yield every monic polynomial of the given degree over GF(p)."""
-    for idx in range(p**degree):
-        coeffs = []
-        rem = idx
-        for _ in range(degree):
-            coeffs.append(rem % p)
-            rem //= p
-        coeffs.append(1)
-        yield tuple(coeffs)
+def _reduce(c, mod, p):
+    """Remainder of the polynomials c modulo the monic polynomials mod over
+    GF(p), eliminating the top coefficient one degree at a time.  Both hold
+    ascending coefficients along their first axis and broadcast along the
+    rest.  Works in place on c; returns the low coefficients in [0, p)."""
+    d = len(mod) - 1
+    low = mod[:d].reshape((d,) + mod.shape[1:] + (1,) * (c.ndim - mod.ndim))
+    for k in range(len(c) - 1, d - 1, -1):
+        c[k - d:k] -= c[k] % p * low
+    return c[:d] % p
 
 
 def _is_irreducible(mod, p):
-    e = len(mod) - 1
-    if e < 1 or mod[-1] != 1:
-        return False
-    if any(_poly_eval(mod, x, p) == 0 for x in range(p)):
-        return False
-    if e <= 3:
-        # degree <= 3 with no roots has no nontrivial factorization
-        return True
-    for deg in range(2, e // 2 + 1):
-        for g in _all_monic_polys(deg, p):
-            if not _poly_mod(mod, g, p):
-                return False
+    """Trial division of mod (degree e >= 2) by every monic polynomial of
+    degree 1..e/2; degree 1 covers the roots."""
+    f = np.array(mod)[:, None]
+    for d in range(1, (len(mod) - 1) // 2 + 1):
+        divisors = np.array([c + (1,) for c in itertools.product(range(p), repeat=d)]).T
+        if not _reduce(np.tile(f, p**d), divisors, p).any(axis=0).all():
+            return False
     return True
 
 
@@ -143,7 +110,7 @@ class GF:
     """
 
     __slots__ = ("p", "e", "s", "modulus", "add_table", "mul_table",
-                 "_inv_table", "_pbasis")
+                 "_powers", "_reducer")
 
     def __init__(self, p: int, e: int = 1, modulus=None):
         if not isinstance(p, int) or not is_prime(p):
@@ -180,77 +147,53 @@ class GF:
             if not _is_irreducible(modulus, p):
                 raise FieldError(f"modulus {modulus} is reducible over GF({p})")
             self.modulus = modulus
-        self._pbasis = tuple(p**i for i in range(e))
+        self._powers = p ** np.arange(e, dtype=np.int64)
+        # GF(p) is GF(p)[x]/(x): a prime field reduces by x, which a product
+        # of degree 0 never needs
+        self._reducer = np.array(self.modulus or (0, 1), dtype=np.int64)
         self.add_table = None
         self.mul_table = None
-        self._inv_table = None
         if s <= _TABLE_LIMIT:
-            self._build_tables()
+            grid = np.arange(s)
+            self.add_table = self._add(grid[:, None], grid).astype(np.int32)
+            self.mul_table = self._mul(grid[:, None], grid).astype(np.int32)
+            self.add_table.setflags(write=False)
+            self.mul_table.setflags(write=False)
 
-    # -- encoding ----------------------------------------------------------
+    # -- the one arithmetic, elementwise on ints and integer arrays ----------
 
-    def _decode(self, a: int) -> list[int]:
-        coeffs = []
-        for _ in range(self.e):
-            coeffs.append(a % self.p)
-            a //= self.p
-        return coeffs
+    def _digits(self, *elements):
+        """Base-p coefficient vectors of each argument along a new first
+        axis.  The arguments get a common number of axes first, so that
+        their digit arrays broadcast against each other."""
+        arrays = [np.asarray(a, dtype=np.int64) for a in elements]
+        n = max(a.ndim for a in arrays)
+        powers = self._powers.reshape((-1,) + (1,) * n)
+        return [a.reshape((1,) * (n - a.ndim) + a.shape) // powers % self.p
+                for a in arrays]
 
-    def _encode(self, coeffs) -> int:
-        return sum(int(c) % self.p * b for c, b in zip(coeffs, self._pbasis))
+    def _join(self, c):
+        """Elements whose coefficient vectors (first axis) are c mod p."""
+        return np.tensordot(self._powers, c % self.p, axes=1)
 
-    def _check(self, a: int) -> int:
-        if not 0 <= a < self.s:
-            raise FieldError(f"{a} is not an element of GF({self.s})")
-        return a
+    def _add(self, a, b):
+        da, db = self._digits(a, b)
+        return self._join(da + db)
 
-    # -- table construction --------------------------------------------------
+    def _mul(self, a, b):
+        da, db = self._digits(a, b)
+        e = self.e
+        prod = np.zeros((2 * e - 1,) + np.broadcast_shapes(da.shape, db.shape)[1:],
+                        dtype=np.int64)
+        for i in range(e):
+            prod[i:i + e] += da[i] * db
+        return self._join(_reduce(prod, self._reducer, self.p))
 
-    def _build_tables(self):
-        s, p = self.s, self.p
-        if self.e == 1:
-            idx = np.arange(s, dtype=np.int64)
-            self.add_table = ((idx[:, None] + idx[None, :]) % p).astype(np.int32)
-            self.mul_table = ((idx[:, None] * idx[None, :]) % p).astype(np.int32)
-        else:
-            add = np.zeros((s, s), dtype=np.int32)
-            mul = np.zeros((s, s), dtype=np.int32)
-            for a in range(s):
-                for b in range(a, s):
-                    v = self._add_raw(a, b)
-                    add[a, b] = v
-                    add[b, a] = v
-                    v = self._mul_raw(a, b)
-                    mul[a, b] = v
-                    mul[b, a] = v
-            self.add_table = add
-            self.mul_table = mul
-        inv = np.zeros(s, dtype=np.int32)
-        for a in range(1, s):
-            row = self.mul_table[a]
-            hits = np.nonzero(row == 1)[0]
-            if len(hits) != 1:
-                raise FieldError(
-                    f"element {a} of GF({s}) lacks a unique inverse; "
-                    f"modulus {self.modulus} is not irreducible"
-                )
-            inv[a] = hits[0]
-        self._inv_table = inv
-
-    # -- raw arithmetic (table-free) ----------------------------------------
-
-    def _add_raw(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        ca, cb = self._decode(a), self._decode(b)
-        return self._encode([x + y for x, y in zip(ca, cb)])
-
-    def _mul_raw(self, a, b):
-        if self.e == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(_poly_trim(self._decode(a)),
-                         _poly_trim(self._decode(b)), self.p)
-        return self._encode(_poly_mod(prod, self.modulus, self.p))
+    def _check(self, *elements):
+        for a in elements:
+            a = np.asarray(a)
+            if not np.all((0 <= a) & (a < self.s)):
+                raise FieldError(f"{a} is not an element of GF({self.s})")
 
     # -- public operations ---------------------------------------------------
 
@@ -258,37 +201,33 @@ class GF:
         """All field elements in canonical index order 0, 1, ..., s-1."""
         return list(range(self.s))
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+    def add(self, a, b):
+        """a + b for ints or, elementwise, integer arrays."""
+        self._check(a, b)
         if self.add_table is not None:
-            return int(self.add_table[a, b])
-        return self._add_raw(a, b)
+            return _unwrap(self.add_table[a, b])
+        return _unwrap(self._add(a, b))
 
-    def neg(self, a: int) -> int:
+    def neg(self, a):
+        """-a for ints or, elementwise, integer arrays."""
         self._check(a)
-        if self.e == 1:
-            return (-a) % self.p
-        return self._encode([-c for c in self._decode(a)])
+        return _unwrap(self._join(-self._digits(a)[0]))
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+    def mul(self, a, b):
+        """a * b for ints or, elementwise, integer arrays."""
+        self._check(a, b)
         if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        return self._mul_raw(a, b)
+            return _unwrap(self.mul_table[a, b])
+        return _unwrap(self._mul(a, b))
 
     def inv(self, a: int) -> int:
+        """a^(s-2), the inverse of a nonzero a."""
         self._check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.s})")
-        if self._inv_table is not None:
-            return int(self._inv_table[a])
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
         return self.pow(a, self.s - 2)
 
     def pow(self, a: int, k: int) -> int:
@@ -296,8 +235,6 @@ class GF:
         self._check(a)
         if k < 0:
             raise FieldError("exponent must be nonnegative")
-        if self.e == 1:
-            return pow(a, k, self.p) if k else 1
         result = 1
         base = a
         while k:

@@ -7,8 +7,10 @@ and the sampler's index-set draw are kept here in their first, row-by-row
 form, as references for the vectorised kernels, the codebook walk in its
 first, tuple-keyed form, as a reference for the one-hot walk, and the
 annealer's feasible-subset extraction in its first, recount-every-round
-form."""
+form.  Reducibility of a field modulus is decided by multiplying out every
+pair of monic factors."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -201,6 +203,34 @@ def poly_field_mul(a_idx, b_idx, p, modulus):
             for i in range(e + 1):
                 prod[top - e + i] = (prod[top - e + i] - coeff * modulus[i]) % p
     return sum(c * p**i for i, c in enumerate(prod[:e]))
+
+
+def poly_field_add(a_idx, b_idx, p, e):
+    """Add two base-p encoded elements of GF(p^e) coefficient by
+    coefficient."""
+    return sum((a_idx // p**i + b_idx // p**i) % p * p**i for i in range(e))
+
+
+def naive_reducible(mod, p):
+    """Whether the monic polynomial mod (ascending coefficients) over GF(p)
+    equals g * h for monic g and h of positive degree."""
+    return tuple(mod) in _monic_products(p, len(mod) - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _monic_products(p, e):
+    """Every product of two monic polynomials of positive degree whose
+    degrees sum to e, multiplied out term by term."""
+    products = set()
+    for dg in range(1, e):
+        for g in itertools.product(range(p), repeat=dg):
+            for h in itertools.product(range(p), repeat=e - dg):
+                prod = [0] * (e + 1)
+                for i, gi in enumerate(g + (1,)):
+                    for j, hj in enumerate(h + (1,)):
+                        prod[i + j] = (prod[i + j] + gi * hj) % p
+                products.add(tuple(prod))
+    return frozenset(products)
 
 
 def gf_rank(rows, gf):

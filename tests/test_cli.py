@@ -4,6 +4,8 @@ import pytest
 
 from acckit.cli import main
 
+from _oracles import poly_field_add, poly_field_mul
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -16,6 +18,24 @@ def test_field_elements(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["elements"] == list(range(9))
+
+
+# the scalar definitions of each field's addition and multiplication
+FIELD_DEFINITIONS = {
+    "3^2": (lambda a, b: poly_field_add(a, b, 3, 2),
+            lambda a, b: poly_field_mul(a, b, 3, (1, 0, 1))),
+    "521": (lambda a, b: (a + b) % 521, lambda a, b: a * b % 521),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FIELD_DEFINITIONS))
+def test_field_table_matches_definitions(capsys, spec):
+    code, out, _ = run_cli(capsys, "field", "table", "--field", spec, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    elems = range(payload["s"])
+    for key, op in zip(("add", "mul"), FIELD_DEFINITIONS[spec]):
+        assert payload[key] == [[op(a, b) for b in elems] for a in elems]
 
 
 def test_field_bad_spec(capsys):

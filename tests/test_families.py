@@ -49,7 +49,6 @@ def test_universe_flatten_and_labels():
     u = Universe(9, (3, 3))
     assert u.flatten(1, 0) == 0
     assert u.flatten(3, 2) == 8
-    assert u.label(4) == "(2,1)"
     with pytest.raises(FamilyError):
         u.flatten(0, 0)
     with pytest.raises(FamilyError):

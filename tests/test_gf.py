@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from acckit.gf import GF, FieldError, _DEFAULT_MODULI, parse_field
 
-from _oracles import poly_field_mul
+from _oracles import naive_reducible, poly_field_add, poly_field_mul
 
 AXIOM_SIZES = [3, 5, 7, 9, 27, 31, 49, 81, 83]
 
@@ -43,10 +45,70 @@ def test_extension_field_against_polynomial_oracle():
     g9 = GF(3, 2, (1, 0, 1))
     assert g9.mul(3, 3) == 2  # x * x = -1
     assert g9.pow(3, 2) == 2
-    for gf in (g9, GF(3, 3), GF(7, 2), GF(2, 4)):
-        for a in gf.elements():
-            for b in gf.elements():
-                assert gf.mul(a, b) == poly_field_mul(a, b, gf.p, gf.modulus)
+    # the full tables of every field with a built-in modulus
+    for (p, e) in _DEFAULT_MODULI:
+        gf = GF(p, e)
+        elems = range(gf.s)
+        assert gf.add_table.tolist() == [
+            [poly_field_add(a, b, p, e) for b in elems] for a in elems]
+        assert gf.mul_table.tolist() == [
+            [poly_field_mul(a, b, p, gf.modulus) for b in elems] for a in elems]
+
+
+# x^10 + x^3 + 1 over GF(2); GF(2^10) and GF(521) are too large for tables
+TABLE_FREE = [(521, 1, None), (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("p, e, modulus", TABLE_FREE)
+def test_table_free_fields_match_oracle(p, e, modulus):
+    gf = GF(p, e, modulus)
+    assert gf.add_table is None and gf.mul_table is None
+    mod = modulus or (0, 1)  # GF(p) = GF(p)[x]/(x)
+    rng = np.random.default_rng(13)
+    a_s = rng.integers(1, gf.s, 100).tolist()
+    b_s = rng.integers(0, gf.s, 100).tolist()
+    k_s = rng.integers(0, 40, 100).tolist()
+    for a, b, k in zip(a_s, b_s, k_s):
+        assert gf.add(a, b) == poly_field_add(a, b, p, e)
+        assert gf.mul(a, b) == poly_field_mul(a, b, p, mod)
+        assert poly_field_add(a, gf.neg(a), p, e) == 0
+        assert poly_field_add(gf.sub(a, b), b, p, e) == a
+        assert poly_field_mul(a, gf.inv(a), p, mod) == 1
+        power = 1
+        for _ in range(k):
+            power = poly_field_mul(power, a, p, mod)
+        assert gf.pow(a, k) == power
+
+
+# number of monic irreducible polynomials of degree 2, 3, 4 over GF(p)
+IRREDUCIBLE_COUNTS = {2: [1, 2, 3], 3: [3, 8, 18], 5: [10, 40, 150]}
+
+
+@pytest.mark.parametrize("p", sorted(IRREDUCIBLE_COUNTS))
+def test_irreducibility_matches_naive_oracle(p):
+    counts = []
+    for e in (2, 3, 4):
+        irreducible = 0
+        for low in itertools.product(range(p), repeat=e):
+            mod = low + (1,)
+            try:
+                GF(p, e, mod)
+            except FieldError:
+                assert naive_reducible(mod, p), mod
+            else:
+                assert not naive_reducible(mod, p), mod
+                irreducible += 1
+        counts.append(irreducible)
+    assert counts == IRREDUCIBLE_COUNTS[p]
+
+
+@pytest.mark.parametrize("p, e", [(7, 1), (3, 2)])
+def test_tables_are_read_only(p, e):
+    gf = GF(p, e)
+    for table in (gf.add_table, gf.mul_table):
+        with pytest.raises(ValueError):
+            table[0, 0] = 3
+    assert gf.add(0, 0) == 0 and gf.mul(0, 0) == 0
 
 
 def _table_triples(gf, limit_random=None):
