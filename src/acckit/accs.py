@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arrays import CodeBook, min_distance
+from .arrays import CodeBook, min_distance, provenance_holds
 from .codec import (bits_to_str, json_int, json_list, read_json, str_to_bits,
                     write_json)
 from .families import (SetFamily, Universe, Witness, _canonical_cover_witness,
@@ -191,10 +191,10 @@ def build_h0(code: CodeBook, family: SetFamily) -> SetFamily:
 
 def _structural_ud_entry(code: CodeBook, K: int) -> ConditionEntry | None:
     """Structural K-UD justification for a stacked-array codebook: valid for
-    K = 2, odd alphabet, strength tag present, and 2(t-1) < m."""
-    if code.provenance != "W" or code.t is None:
-        return None
-    if K != 2 or code.s % 2 == 0 or 2 * (code.t - 1) >= code.m:
+    K = 2, odd alphabet, 2(t-1) < m, and rows that are W rebuilt at the
+    tagged strength."""
+    if (code.provenance != "W" or code.t is None or K != 2 or code.s % 2 == 0
+            or 2 * (code.t - 1) >= code.m or not provenance_holds(code)):
         return None
     return ConditionEntry(
         name="code is K-UD", mode="structural", result=True,
@@ -226,7 +226,7 @@ def build_theorem1_acc(code: CodeBook, family: SetFamily, K: int,
         if code_entry is None:
             cert.add("structural certification unavailable", "structural", True,
                      required=False,
-                     params={"reason": "needs provenance W with strength tag, "
+                     params={"reason": "needs rows equal to the rebuilt W, "
                                        "K=2, odd alphabet, 2(t-1) < m",
                              "provenance": code.provenance, "s": code.s,
                              "K": K, "fallback": "exhaustive"})

@@ -3,8 +3,12 @@
 Builds three related row arrays over GF(s): the strength-t orthogonal array
 ``U`` (all linear combinations of the first t power rows), the coset array
 ``V`` (the t-th power row shifted by combinations of the first t-1 rows),
-and their stack ``W``.  Also provides exact distance / coincidence scans and
-an orthogonal-array property checker with failure witnesses.
+and their stack ``W``, over any field `GF` supports, prime or extension.
+Each array is grown one basis row at a time through the field's array
+arithmetic.  A ``U``/``V``/``W`` tag read from a file is trusted only when
+the rows are that array rebuilt (`provenance_holds`).  Also provides exact
+distance / coincidence scans and an orthogonal-array property checker with
+failure witnesses.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .codec import (json_int, json_ints, json_list, read_json, read_lines,
                     text_int, write_json, write_lines)
-from .gf import GF
+from .gf import _DEFAULT_MODULI, GF, MAX_FIELD_SIZE, FieldError
 
 PROVENANCES = ("U", "V", "W", "imported")
 
@@ -34,6 +38,7 @@ class CodeBook:
     rows: np.ndarray
     provenance: str = "imported"
     t: int | None = None  # strength parameter, set for U/V/W builds
+    modulus: tuple[int, ...] | None = None  # a build's non-built-in modulus
 
     def __post_init__(self):
         if self.m < 1 or self.s < 1:
@@ -68,6 +73,8 @@ class CodeBook:
         }
         if self.t is not None:
             d["t"] = self.t
+        if self.modulus is not None:
+            d["modulus"] = list(self.modulus)
         return d
 
     @classmethod
@@ -75,7 +82,9 @@ class CodeBook:
         return cls(s=json_int(d["s"], "s"), m=json_int(d["m"], "m"),
                    rows=[json_ints(r, "row") for r in json_list(d["rows"], "rows")],
                    provenance=d.get("provenance", "imported"),
-                   t=json_int(d["t"], "t") if "t" in d else None)
+                   t=json_int(d["t"], "t") if "t" in d else None,
+                   modulus=(tuple(json_ints(d["modulus"], "modulus"))
+                            if "modulus" in d else None))
 
 
 # File formats: JSON when the path ends in ".json", else one row per line.
@@ -119,9 +128,7 @@ def rho(i: int, m: int, gf: GF) -> tuple[int, ...]:
         raise ParameterError("power index must be nonnegative")
     if not 3 <= m <= gf.s:
         raise ParameterError(f"need 3 <= m <= {gf.s}, got m={m}")
-    if i == 0:
-        return (1,) * m
-    return tuple(gf.pow(a, i) for a in range(m))
+    return tuple(gf.pow(np.arange(m), i).tolist())
 
 
 @dataclass(frozen=True)
@@ -145,57 +152,63 @@ class MomentMatrix:
         return np.array(self.rows, dtype=np.int64)
 
 
-def _coefficient_grid(s: int, k: int) -> np.ndarray:
-    """All s^k coefficient vectors in canonical base-s order, least
-    significant coordinate first."""
-    idx = np.arange(s**k, dtype=np.int64)
-    out = np.empty((s**k, k), dtype=np.int64)
-    for j in range(k):
-        out[:, j] = (idx // s**j) % s
-    return out
+def _span(gf: GF, basis: np.ndarray) -> np.ndarray:
+    """All s^k combinations of the k rows of basis over GF(s), in canonical
+    base-s order of the coefficient vector, first coefficient fastest."""
+    m = basis.shape[1]
+    scalars = np.arange(gf.s)[:, None, None]
+    rows = np.zeros((1, m), dtype=np.int64)
+    for row in basis:
+        rows = gf.add(rows, gf.mul(scalars, row)).reshape(-1, m)
+    return rows
 
 
-def _linear_combine(gf: GF, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Rows coeffs @ basis over the field (coeffs: (N, k), basis: (k, m))."""
-    if gf.e == 1:
-        return (coeffs @ basis) % gf.p
-    if gf.mul_table is None:
-        raise ParameterError(f"extension field GF({gf.s}) too large for array builds")
-    acc = np.zeros((coeffs.shape[0], basis.shape[1]), dtype=np.int64)
-    for k in range(basis.shape[0]):
-        term = gf.mul_table[coeffs[:, k][:, None], basis[k][None, :]]
-        acc = gf.add_table[acc, term]
-    return acc
+def _array_book(gf: GF, rows, provenance: str, t: int) -> CodeBook:
+    """A built array, recording gf's modulus unless it is the built-in one."""
+    builtin = _DEFAULT_MODULI.get((gf.p, gf.e))
+    return CodeBook(s=gf.s, m=rows.shape[1], rows=rows, provenance=provenance,
+                    t=t, modulus=None if gf.modulus == builtin else gf.modulus)
 
 
 def build_U(gf: GF, t: int, m: int) -> CodeBook:
     """The s^t x m array of all linear combinations of the moment rows;
     an orthogonal array of strength t and index unity."""
-    R = MomentMatrix.build(gf, t, m)
-    rows = _linear_combine(gf, _coefficient_grid(gf.s, t), R.as_array())
-    return CodeBook(s=gf.s, m=m, rows=rows, provenance="U", t=t)
+    R = MomentMatrix.build(gf, t, m).as_array()
+    return _array_book(gf, _span(gf, R), "U", t)
 
 
 def build_V(gf: GF, t: int, m: int) -> CodeBook:
     """The s^(t-1) x m coset array: the t-th power row plus combinations
     of the first t-1 moment rows."""
-    R = MomentMatrix.build(gf, t, m)  # parameter validation
-    R0 = R.as_array()[: t - 1]
-    shift = np.array(rho(t, m, gf), dtype=np.int64)
-    combos = _linear_combine(gf, _coefficient_grid(gf.s, t - 1), R0)
-    if gf.e == 1:
-        rows = (combos + shift) % gf.p
-    else:
-        rows = gf.add_table[combos, shift[None, :]]
-    return CodeBook(s=gf.s, m=m, rows=rows, provenance="V", t=t)
+    R = MomentMatrix.build(gf, t, m).as_array()
+    return _array_book(gf, gf.add(_span(gf, R[: t - 1]), rho(t, m, gf)), "V", t)
 
 
 def build_W(gf: GF, t: int, m: int) -> CodeBook:
     """U stacked above V: s^t + s^(t-1) rows."""
-    u = build_U(gf, t, m)
-    v = build_V(gf, t, m)
-    return CodeBook(s=gf.s, m=m, rows=np.vstack([u.rows, v.rows]),
-                    provenance="W", t=t)
+    rows = np.vstack([build_U(gf, t, m).rows, build_V(gf, t, m).rows])
+    return _array_book(gf, rows, "W", t)
+
+
+def provenance_holds(book: CodeBook) -> bool:
+    """True when book is tagged U, V or W with a strength t and its rows are
+    that array rebuilt over GF(s), with the book's modulus or else the
+    built-in one.  A file can set any tag, so a shortcut that rests on the
+    tag asks this first."""
+    s, t, m = book.s, book.t, book.m
+    counts = {"U": (1, 0), "V": (0, 1), "W": (1, 1)}.get(book.provenance)
+    if (counts is None or t is None
+            or not (2 <= t <= m and 3 <= m <= s <= MAX_FIELD_SIZE)
+            or book.M != counts[0] * s**t + counts[1] * s**(t - 1)):
+        return False
+    p = next(d for d in range(2, s + 1) if s % d == 0)
+    try:
+        gf = GF(p, round(np.log(s) / np.log(p)), book.modulus)
+    except FieldError:  # no modulus to rebuild with, or an invalid one
+        return False
+    build = {"U": build_U, "V": build_V, "W": build_W}[book.provenance]
+    # a size other than s means s is no prime power: nothing to rebuild
+    return gf.s == s and np.array_equal(build(gf, t, m).rows, book.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +273,13 @@ def coincidences(row_a, row_b) -> int:
 def min_distance(book: CodeBook) -> int:
     """Minimum pairwise Hamming distance.
 
-    For a linear codebook (provenance "U") the minimum nonzero row weight
-    gives the same value in O(M m); every other book is scanned pairwise.
+    For the linear array U (provenance "U", checked by `provenance_holds`)
+    the minimum nonzero row weight gives the same value in O(M m); every
+    other book is scanned pairwise.
     """
     if book.M < 2:
         raise ParameterError("min_distance needs at least 2 rows")
-    if book.provenance == "U":
+    if book.provenance == "U" and provenance_holds(book):
         weights = (book.rows != 0).sum(axis=1)
         nz = weights[weights > 0]
         if len(nz) == 0:

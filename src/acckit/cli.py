@@ -72,12 +72,10 @@ def cmd_field_table(args) -> int:
     if args.json:
         _emit({"s": gf.s, "add": add, "mul": mul}, True)
     else:
-        print(f"GF({gf.s}) addition:")
-        for row in add:
-            print("  " + " ".join(f"{x:3d}" for x in row))
-        print(f"GF({gf.s}) multiplication:")
-        for row in mul:
-            print("  " + " ".join(f"{x:3d}" for x in row))
+        for name, table in (("addition", add), ("multiplication", mul)):
+            print(f"GF({gf.s}) {name}:")
+            for row in table:
+                print("  " + " ".join(f"{x:3d}" for x in row))
     return PASS
 
 

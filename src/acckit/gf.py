@@ -10,11 +10,11 @@ All arithmetic runs through one path on ints and integer numpy arrays:
 elements are split into base-p digit vectors (`GF._digits`), added digitwise
 mod p, or multiplied as coefficient polynomials and reduced top-down by f
 (`_reduce`), and joined back into integers (`GF._join`).  A prime field is
-GF(p)[x]/(x), so its product is a * b mod p with no separate branch.  Fields
-of at most 512 elements also keep read-only add/mul tables, filled by one
-call of each operation over the index grid, and `add` and `mul` look them
-up.  A ``GF`` object validates its parameters once and is immutable
-afterwards.
+GF(p)[x]/(x), so its product is a * b mod p with no separate branch.  Every
+field, whatever its size, computes this way; there are no lookup tables.
+Only ints and integer arrays are elements: floats, strings and bools are
+rejected with `FieldError`.  A ``GF`` object validates its parameters once
+and is immutable afterwards.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ import itertools
 import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
-
-# Full add/mul lookup tables are built for fields up to this size; larger
-# fields compute every operation on digit vectors.
-_TABLE_LIMIT = 512
 
 # Built-in irreducible monic moduli, ascending coefficients (c_0, ..., c_e).
 _DEFAULT_MODULI = {
@@ -109,8 +105,7 @@ class GF:
         and no built-in modulus exists; validated in all cases.
     """
 
-    __slots__ = ("p", "e", "s", "modulus", "add_table", "mul_table",
-                 "_powers", "_reducer")
+    __slots__ = ("p", "e", "s", "modulus", "_powers", "_reducer")
 
     def __init__(self, p: int, e: int = 1, modulus=None):
         if not isinstance(p, int) or not is_prime(p):
@@ -151,14 +146,6 @@ class GF:
         # GF(p) is GF(p)[x]/(x): a prime field reduces by x, which a product
         # of degree 0 never needs
         self._reducer = np.array(self.modulus or (0, 1), dtype=np.int64)
-        self.add_table = None
-        self.mul_table = None
-        if s <= _TABLE_LIMIT:
-            grid = np.arange(s)
-            self.add_table = self._add(grid[:, None], grid).astype(np.int32)
-            self.mul_table = self._mul(grid[:, None], grid).astype(np.int32)
-            self.add_table.setflags(write=False)
-            self.mul_table.setflags(write=False)
 
     # -- the one arithmetic, elementwise on ints and integer arrays ----------
 
@@ -177,8 +164,10 @@ class GF:
         return np.tensordot(self._powers, c % self.p, axes=1)
 
     def _add(self, a, b):
+        # digit by digit, so that no (e, ...) array of the broadcast shape
+        # is ever held
         da, db = self._digits(a, b)
-        return self._join(da + db)
+        return sum((x + y) % self.p * w for x, y, w in zip(da, db, self._powers))
 
     def _mul(self, a, b):
         da, db = self._digits(a, b)
@@ -192,7 +181,7 @@ class GF:
     def _check(self, *elements):
         for a in elements:
             a = np.asarray(a)
-            if not np.all((0 <= a) & (a < self.s)):
+            if a.dtype.kind not in "iu" or not np.all((0 <= a) & (a < self.s)):
                 raise FieldError(f"{a} is not an element of GF({self.s})")
 
     # -- public operations ---------------------------------------------------
@@ -204,8 +193,6 @@ class GF:
     def add(self, a, b):
         """a + b for ints or, elementwise, integer arrays."""
         self._check(a, b)
-        if self.add_table is not None:
-            return _unwrap(self.add_table[a, b])
         return _unwrap(self._add(a, b))
 
     def neg(self, a):
@@ -219,8 +206,6 @@ class GF:
     def mul(self, a, b):
         """a * b for ints or, elementwise, integer arrays."""
         self._check(a, b)
-        if self.mul_table is not None:
-            return _unwrap(self.mul_table[a, b])
         return _unwrap(self._mul(a, b))
 
     def inv(self, a: int) -> int:
@@ -230,19 +215,20 @@ class GF:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.s})")
         return self.pow(a, self.s - 2)
 
-    def pow(self, a: int, k: int) -> int:
-        """Square-and-multiply power; pow(a, 0) = 1 for every a."""
+    def pow(self, a, k: int):
+        """Square-and-multiply power of an int or, elementwise, an integer
+        array; pow(a, 0) = 1 for every a."""
         self._check(a)
         if k < 0:
             raise FieldError("exponent must be nonnegative")
-        result = 1
+        result = np.ones_like(a)
         base = a
         while k:
             if k & 1:
                 result = self.mul(result, base)
             base = self.mul(base, base)
             k >>= 1
-        return result
+        return _unwrap(result)
 
     # -- misc ----------------------------------------------------------------
 

@@ -7,7 +7,8 @@ import pytest
 from acckit.arrays import (CodeBook, MomentMatrix, ParameterError, build_U,
                            build_V, build_W, check_lemma1_bounds, coincidences,
                            load_codebook, load_codebook_text, min_distance,
-                           rho, save_codebook, save_codebook_text, verify_oa)
+                           provenance_holds, rho, save_codebook,
+                           save_codebook_text, verify_oa)
 from acckit.gf import GF
 
 from _oracles import gf_rank
@@ -118,6 +119,47 @@ def test_min_distance_paths_agree_on_linear_books():
             assert min_distance(u) == min_distance(plain), (s, t, m)
 
 
+def test_provenance_holds_only_for_rebuilt_arrays():
+    for gf in (GF(5), GF(3, 2)):
+        for build in (build_U, build_V, build_W):
+            book = build(gf, 3, 4)
+            assert provenance_holds(book)
+            rows = book.rows[::-1]
+            for changed in (dict(rows=rows), dict(t=None), dict(t=2),
+                            dict(provenance="imported")):
+                kw = dict(s=book.s, m=book.m, rows=book.rows,
+                          provenance=book.provenance, t=book.t) | changed
+                assert not provenance_holds(CodeBook(**kw)), (build, changed)
+    # a modulus other than the built-in one gives other rows at t = 3, and
+    # the book records it; GF(13^2) has no built-in modulus at all
+    for gf in (GF(3, 2, (2, 1, 1)), GF(13, 2, (2, 0, 1))):
+        u = build_U(gf, 3, 4) if gf.s == 9 else build_U(gf, 2, 3)
+        assert u.modulus == gf.modulus and provenance_holds(u)
+        for other in (None, (1, 0, 1), (2, 0, 0)):  # built-in, other, reducible
+            kw = dict(s=u.s, m=u.m, rows=u.rows, provenance="U", t=u.t)
+            assert not provenance_holds(CodeBook(**kw, modulus=other))
+        assert min_distance(u) == u.m - u.t + 1
+    assert build_U(GF(3, 2, (1, 0, 1)), 2, 3).modulus is None
+    # six symbols: no field
+    assert not provenance_holds(CodeBook(s=6, m=3, rows=np.zeros((36, 3), int),
+                                         provenance="U", t=2))
+
+
+def test_provenance_holds_checks_row_count_before_rebuilding(monkeypatch):
+    # a forged tag must not make the check build an array the book's own
+    # rows do not pay for: W over GF(65521) at t = 3 has about 2.8e14 rows
+    import acckit.arrays as arrays
+
+    def refuse(*args):
+        raise AssertionError("rebuilt")
+
+    for name in ("build_U", "build_V", "build_W"):
+        monkeypatch.setattr(arrays, name, refuse)
+    for tag in "UVW":
+        book = CodeBook(s=65521, m=3, rows=[[0, 1, 2]], provenance=tag, t=3)
+        assert not provenance_holds(book)
+
+
 def test_lemma1_bounds_small():
     rep = check_lemma1_bounds(GF(3), 2, 3)
     assert (rep.max_uu, rep.max_vv, rep.max_uv) == (1, 0, 2)
@@ -205,16 +247,49 @@ def test_json_and_text_roundtrip(tmp_path, example2_book):
         load_codebook(bad)
 
 
-def test_extension_field_builds_match_scalar_arithmetic():
-    gf = GF(3, 2)
-    u = build_U(gf, 2, 4)
-    R = MomentMatrix.build(gf, 2, 4)
-    # recompute a few rows by scalar field ops: row = xi0*rho0 + xi1*rho1
-    for idx in (0, 1, 5, 8, 80):
-        xi = (idx % 9, idx // 9)
-        expect = [gf.add(gf.mul(xi[0], R.rows[0][j]), gf.mul(xi[1], R.rows[1][j]))
-                  for j in range(4)]
-        assert list(u.rows[idx]) == expect
+# x^10 + x^3 + 1 over GF(2)
+GF1024 = GF(2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
+
+
+@pytest.fixture(scope="module")
+def u1024():
+    return build_U(GF1024, 2, 3)
+
+
+def test_extension_field_builds_match_scalar_arithmetic(u1024):
+    cases = [(GF(3, 2), 2, 4), (GF(3, 2), 3, 9), (GF(31), 3, 7),
+             (GF(521), 2, 3), (GF1024, 2, 3)]
+    for gf, t, m in cases:
+        u = u1024 if gf is GF1024 else build_U(gf, t, m)
+        _check_rows_by_scalar_arithmetic(gf, t, m, u, build_V(gf, t, m))
+
+
+def _check_rows_by_scalar_arithmetic(gf, t, m, u, v):
+    R = MomentMatrix.build(gf, t, m).rows
+    shift = rho(t, m, gf)
+    s = gf.s
+
+    def combine(xi, basis, start):
+        row = list(start)
+        for c, b in zip(xi, basis):
+            row = [gf.add(x, gf.mul(c, y)) for x, y in zip(row, b)]
+        return row
+
+    # row idx holds the coefficients xi_j = digit j of idx in base s: U's
+    # row is sum xi_j rho(j), V's is rho(t) + sum xi_j rho(j) over j < t-1
+    rng = random.Random(s)
+    for book, basis, start in ((u, R, [0] * m), (v, R[:t - 1], shift)):
+        k = len(basis)
+        assert book.M == s**k, gf
+        sample = rng.sample(range(s**k), min(20, s**k))
+        for idx in {0, 1, s - 1, s**k - 1, *sample}:
+            xi = [idx // s**j % s for j in range(k)]
+            assert book.rows[idx].tolist() == combine(xi, basis, start), (gf, idx)
+
+
+def test_build_U_over_gf1024_is_an_orthogonal_array(u1024):
+    assert u1024.M == 1024**2
+    assert verify_oa(u1024, 2).ok
 
 
 def test_verify_oa_strength_and_failure_witness():

@@ -293,6 +293,54 @@ def test_acc_build_refusal_exit_1(tmp_path, capsys):
     assert json.loads(out)["certified"] is False
 
 
+def _write(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_forged_u_tag_gets_no_distance_shortcut(tmp_path, capsys):
+    # not linear: rows 1 and 2 differ in one coordinate, though the minimum
+    # nonzero weight is 2
+    book = _write(tmp_path / "u.json", {
+        "s": 3, "m": 3, "provenance": "U", "t": 2,
+        "rows": [[0, 0, 0], [1, 1, 0], [1, 1, 1], [2, 2, 2], [0, 1, 2]]})
+    code, out, _ = run_cli(capsys, "oa", "distance", "--book", book)
+    assert code == 0 and out.strip() == "minimum distance: 1"
+    # with d = 2 the distance condition would hold and the output, which is
+    # not 2-cover-free, would be certified
+    f = _write(tmp_path / "f.json", {"universe": {"v": 4, "product": None},
+                                     "sets": [[0], [1], [2]]})
+    g = _write(tmp_path / "g.json", {"universe": {"v": 4, "product": None},
+                                     "sets": [[3]]})
+    out_acc = tmp_path / "acc.json"
+    code, out, _ = run_cli(capsys, "acc", "build-t2", "--code", book,
+                           "--family-f", f, "--family-g", g, "--K", "2",
+                           "--out", str(out_acc))
+    assert code == 1 and not out_acc.exists()
+    cert = json.loads(out)
+    assert cert["certified"] is False
+    entry, = [e for e in cert["entries"] if e["name"].startswith("distance")]
+    assert entry["result"] is False and entry["params"]["d"] == 1
+
+
+def test_forged_w_tag_gets_no_structural_certificate(tmp_path, capsys):
+    # {row 0, row 1} and {row 2, row 3} have the same coordinate unions
+    book = _write(tmp_path / "w.json", {
+        "s": 3, "m": 3, "provenance": "W", "t": 2,
+        "rows": [[0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 1]]})
+    fam = _write(tmp_path / "f.json", {"universe": {"v": 3, "product": None},
+                                       "sets": [[0], [1], [2]]})
+    out_acc = tmp_path / "acc.json"
+    code, out, _ = run_cli(capsys, "acc", "build-t1", "--code", book,
+                           "--family", fam, "--K", "2", "--mode", "structural",
+                           "--out", str(out_acc))
+    assert code == 1 and not out_acc.exists()
+    cert = json.loads(out)
+    assert cert["certified"] is False
+    entry, = [e for e in cert["entries"] if e["name"] == "code is K-UD"]
+    assert entry["mode"] == "exhaustive" and entry["result"] is False
+
+
 def test_scan_cli(capsys):
     code, out, _ = run_cli(capsys, "scan-remark6", "--field", "5", "--t", "2",
                            "--m", "5", "--K", "3", "--json")

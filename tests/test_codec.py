@@ -115,7 +115,10 @@ def codebooks(draw):
     row = st.lists(st.integers(0, s - 1), min_size=m, max_size=m)
     return CodeBook(s=s, m=m, rows=draw(st.lists(row, min_size=1, max_size=6)),
                     provenance=draw(st.sampled_from(PROVENANCES)),
-                    t=draw(st.none() | st.integers(2, 5)))
+                    t=draw(st.none() | st.integers(2, 5)),
+                    modulus=draw(st.none() | st.tuples(st.integers(0, 6),
+                                                       st.integers(0, 6),
+                                                       st.just(1))))
 
 
 @st.composite
@@ -210,7 +213,7 @@ KINDS = {
                load_family, FamilyError,
                ["family", "verify", "--prop", "udf", "--K", "2", "--family"]),
     "codebook": ({"s": 3, "m": 3, "rows": [[0, 1, 2], [1, 2, 0]],
-                  "provenance": "imported", "t": 2},
+                  "provenance": "imported", "t": 2, "modulus": [2, 0, 1]},
                  load_codebook, ParameterError, ["oa", "distance", "--book"]),
     "code": ({"q": 4, "w": 2, "d": 4, "words": ["1100", "0011"]},
              lambda p: import_code(p, verify=False), CodeError,
@@ -219,7 +222,7 @@ KINDS = {
             load_acc, ConstructionError, ["acc", "verify", "--prop", "udf", "--acc"]),
 }
 # keys a file may leave out
-OPTIONAL = {("universe", "product"), ("provenance",), ("t",)}
+OPTIONAL = {("universe", "product"), ("provenance",), ("t",), ("modulus",)}
 
 
 def _leaves(doc, path=()):

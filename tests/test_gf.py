@@ -16,6 +16,12 @@ def make_field(s):
     return fields[s]
 
 
+def tables(gf):
+    """The full add and mul tables, each from one array call."""
+    grid = np.arange(gf.s)
+    return gf.add(grid[:, None], grid), gf.mul(grid[:, None], grid)
+
+
 def test_enumerate_elements():
     assert GF(3).elements() == [0, 1, 2]
     assert GF(7).elements() == list(range(7))
@@ -49,20 +55,21 @@ def test_extension_field_against_polynomial_oracle():
     for (p, e) in _DEFAULT_MODULI:
         gf = GF(p, e)
         elems = range(gf.s)
-        assert gf.add_table.tolist() == [
+        add, mul = tables(gf)
+        assert add.tolist() == [
             [poly_field_add(a, b, p, e) for b in elems] for a in elems]
-        assert gf.mul_table.tolist() == [
+        assert mul.tolist() == [
             [poly_field_mul(a, b, p, gf.modulus) for b in elems] for a in elems]
 
 
-# x^10 + x^3 + 1 over GF(2); GF(2^10) and GF(521) are too large for tables
+# x^10 + x^3 + 1 over GF(2); GF(2^10) and GF(521) are too large to check
+# every pair, so random pairs are checked
 TABLE_FREE = [(521, 1, None), (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))]
 
 
 @pytest.mark.parametrize("p, e, modulus", TABLE_FREE)
 def test_table_free_fields_match_oracle(p, e, modulus):
     gf = GF(p, e, modulus)
-    assert gf.add_table is None and gf.mul_table is None
     mod = modulus or (0, 1)  # GF(p) = GF(p)[x]/(x)
     rng = np.random.default_rng(13)
     a_s = rng.integers(1, gf.s, 100).tolist()
@@ -102,15 +109,6 @@ def test_irreducibility_matches_naive_oracle(p):
     assert counts == IRREDUCIBLE_COUNTS[p]
 
 
-@pytest.mark.parametrize("p, e", [(7, 1), (3, 2)])
-def test_tables_are_read_only(p, e):
-    gf = GF(p, e)
-    for table in (gf.add_table, gf.mul_table):
-        with pytest.raises(ValueError):
-            table[0, 0] = 3
-    assert gf.add(0, 0) == 0 and gf.mul(0, 0) == 0
-
-
 def _table_triples(gf, limit_random=None):
     s = gf.s
     if limit_random is None:
@@ -127,7 +125,7 @@ def _table_triples(gf, limit_random=None):
 @pytest.mark.parametrize("s", AXIOM_SIZES)
 def test_field_axioms(s):
     gf = make_field(s)
-    add, mul = gf.add_table, gf.mul_table
+    add, mul = tables(gf)
     a, b, c = _table_triples(gf, limit_random=None if s <= 81 else 10**5)
     # closure
     assert add.min() >= 0 and add.max() < s
@@ -177,6 +175,22 @@ def test_out_of_range_elements_rejected():
         gf.add(5, 0)
     with pytest.raises(FieldError):
         gf.mul(-1, 2)
+
+
+@pytest.mark.parametrize("gf", [GF(7), GF(521)], ids=["GF(7)", "GF(521)"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, [1.7, 2.0], np.array([1.0, 2.0]),
+                                 "3", ["1", "2"]])
+def test_non_integer_elements_rejected(gf, bad):
+    for op in (gf.add, gf.sub, gf.mul):
+        with pytest.raises(FieldError):
+            op(bad, 1)
+        with pytest.raises(FieldError):
+            op(1, bad)
+    for op in (gf.neg, lambda a: gf.pow(a, 3)):
+        with pytest.raises(FieldError):
+            op(bad)
+    # integer arrays of any integer dtype are elements
+    assert gf.add(np.array([1, 2], dtype=np.uint8), 1).tolist() == [2, 3]
 
 
 def test_construction_errors():
