@@ -25,9 +25,11 @@ on its own, one batch per CPU at a time, so the scan holds a few MB per
 worker rather than one array of every key.  Verdicts are identical, and
 the canonical witness is recovered by walking only the index sets whose
 key repeats.
-Cover-freeness runs one exact kernel per target over the distinct
-projections of the other members onto it, which yields the verdict and
-the canonical witness in one pass.
+Cover-freeness first drops, in bulk, the targets that two exact bounds
+prove uncoverable (a count of shared elements, and on a product universe
+a count of blocks), then runs one exact kernel per remaining target over
+the distinct projections of the other members onto it, which yields the
+verdict and the canonical witness in one pass.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ _PACKED_LIMIT = 10**8
 _PACKED_BATCH = 2**17
 # At most this many row labels, so at most 8,256 label pairs.
 _PACKED_LABELS = 128
+# The cover kernel refuses a search whose root bounds would take more
+# than this many 64-bit word operations (about 20 s), or whose projections
+# and search nodes pass this many steps (tens of seconds in Python).
+_COVER_WORDS = 2 * 10**10
+_COVER_STEPS = 10**8
+# The root bounds take targets in chunks of about this many (target,
+# member) entries, so each temporary table stays near 1 MB.
+_COVER_CHUNK = 2**17
 
 
 class FamilyError(ValueError):
@@ -481,37 +491,60 @@ def is_k_cff(family: SetFamily, K: int) -> VerifyResult:
     outside the union.
 
     The exact cover kernel `_canonical_cover_witness` runs over every
-    member as a target; it yields the verdict and the canonical witness
-    (the first failure in enumeration order) in one pass.  `checked`
-    counts the n * sum C(n-1, k) cover checks the verdict stands for.
+    member as a target, with the block bound when the universe is a
+    product; it yields the verdict and the canonical witness (the first
+    failure in enumeration order) in one pass.  `checked` counts the
+    n * sum C(n-1, k) cover checks the verdict stands for.  Past the
+    kernel's work budget it raises `FamilyError`; use sample_cff then.
     """
     _require_family(family, K)
     n = family.n
     naive = n * _subset_count(n - 1, K) if n > 1 else 0
-    if n > 2000:
-        raise FamilyError(
-            f"{n} members exceed the exhaustive cover budget; use sample_cff"
-        )
-    witness = _canonical_cover_witness(family.members, K, range(n))
+    witness = _canonical_cover_witness(family.members, K, range(n),
+                                       family.universe.product)
     return VerifyResult(witness is None, witness, naive)
 
 
-def _canonical_cover_witness(members, K, targets) -> Witness | None:
+def _canonical_cover_witness(members, K, targets,
+                             product=None) -> Witness | None:
     """First union of <= K members, in canonical order (size, then lex),
     that covers a nonempty member h in `targets` outside the union; None
     if there is none.
 
-    Each target h is searched on its own.  Every other member is projected
-    onto h (its intersection with h, a mask of at most |h| bits), and of
-    equal nonzero projections only the first index is kept: a cover member
-    swapped for an earlier index with the same projection still covers h,
-    at the same size and no later in lex order.  For k = 1, 2, ...
-    `_lex_first_cover` then finds h's lex-first minimum cover.  The
-    witness is the least (|S|, S) over the targets, ties going to the
+    Targets that `_root_refuted` proves uncoverable are dropped first;
+    `product` = (m, q) says that members live on {1..m} x {0..q-1}.  Each
+    other target h is searched on its own.  Every other member is
+    projected onto h (its intersection with h, a mask of at most |h|
+    bits), and of equal nonzero projections only the first index is kept:
+    a cover member swapped for an earlier index with the same projection
+    still covers h, at the same size and no later in lex order.  For k =
+    1, 2, ... `_lex_first_cover` then finds h's lex-first minimum cover.
+    The witness is the least (|S|, S) over the targets, ties going to the
     earlier target, so sizes above the best found so far are skipped.
+
+    The root bounds' word operations are counted before they run, the
+    projections before the search, and the search nodes as it goes; past
+    either budget the search is refused with `FamilyError`.
     """
+    targets = list(targets)
+    if product:
+        v = product[0] * product[1]
+    else:
+        v = max((mask.bit_length() for mask in members), default=1)
+    # per (target, member) pair: one word-AND per word for the count
+    # bound, and at most one per word of each block for the block bound
+    words = len(targets) * len(members) * (
+        -(-v // 64) + (product[0] * -(-product[1] // 64) if product else 0))
+    if words > _COVER_WORDS:
+        raise FamilyError(f"{words} word operations exceed the cover budget "
+                          f"of {_COVER_WORDS}; use sample_cff")
+    alive = list(itertools.compress(
+        targets, (~_root_refuted(members, K, targets, v, product)).tolist()))
+    budget = [_COVER_STEPS]
+    # each remaining target projects at most every member
+    _spend(budget, len(alive) * len(members))
     best, best_h = None, None
-    for h in targets:
+    for h in alive:
         target = members[h]
         first: dict[int, int] = {}
         # once a single member j covers, only members before j can do better
@@ -522,7 +555,7 @@ def _canonical_cover_witness(members, K, targets) -> Witness | None:
         reps = list(first.items())
         widest = max((local.bit_count() for local in first), default=0)
         for k in range(1, min(K, len(best) if best else K) + 1):
-            S = _lex_first_cover(reps, target, k, 0, widest)
+            S = _lex_first_cover(reps, target, k, 0, widest, budget)
             if S is not None:
                 if best is None or (k, S) < (len(best), best):
                     best, best_h = S, h
@@ -530,15 +563,109 @@ def _canonical_cover_witness(members, K, targets) -> Witness | None:
     return None if best is None else Witness("cover", j2=best, covered=best_h)
 
 
-def _lex_first_cover(reps, residual, k, pos, widest):
+def _spend(budget: list, steps: int) -> None:
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise FamilyError(f"cover search exceeds its budget of {_COVER_STEPS} "
+                          "steps; use sample_cff")
+
+
+def _root_refuted(members, K, targets, v, product) -> np.ndarray:
+    """Which targets no union of k <= K members other than themselves can
+    cover, by two exact bounds on such a cover S of member h:
+
+    * |h| <= k * widest, where widest is the largest |p & h| over the
+      members p other than h;
+    * on a product universe (m, q), each block b in which h is nonempty
+      has a member of S holding at least ceil(|h_b| / k) >= ceil(|h_b| /
+      K) elements of h_b: call a member heavy at such a block b.  So h is
+      nonempty in at most k * max heavy(p) blocks, where heavy(p) counts
+      the blocks at which p (other than h) is heavy.
+
+    The block bound runs first, on every target, and the count bound on
+    the targets it leaves."""
+    T = np.asarray(targets, dtype=np.intp)
+    refuted = np.zeros(len(T), dtype=bool)
+    if product and len(T):
+        refuted = _block_refuted(members, K, T, *product)
+    alive = ~refuted
+    if alive.any():
+        cols, sizes = _word_columns(members, v)
+        widest = _max_over_others(T[alive], len(members),
+                                  lambda chunk: _overlaps(cols, chunk, v))
+        refuted[alive] = sizes[T[alive]] > K * widest
+    return refuted
+
+
+def _block_refuted(members, K, T, m: int, q: int) -> np.ndarray:
+    """The block bound of `_root_refuted`.  In each block, a member's q-bit
+    field is named by an ID among the distinct fields members have there,
+    so whether p is heavy at b for h is a lookup in a table over those
+    fields, one row per target: one gather per block and chunk of targets,
+    not a pass over full-width members."""
+    n, full = len(members), (1 << q) - 1
+    blocks = []
+    for b in range(m):
+        index: dict[int, int] = {}
+        ids = np.array([index.setdefault(mask >> (b * q) & full, len(index))
+                        for mask in members], dtype=np.intp)
+        blocks.append((ids, *_word_columns(list(index), q)))
+    nonempty = sum(sizes[ids] > 0 for ids, _, sizes in blocks)
+
+    def heavy(chunk):
+        out = np.zeros((len(chunk), n), dtype=np.min_scalar_type(m))
+        for ids, fields, sizes in blocks:
+            h = ids[chunk]
+            need = sizes[h, None]
+            table = (_overlaps(fields, h, q) >= -(-need // K)) & (need > 0)
+            out += np.take(table, ids, axis=1)
+        return out
+
+    return nonempty[T] > K * _max_over_others(T, n, heavy)
+
+
+def _word_columns(masks, v: int):
+    """The masks as a (words, len(masks)) uint64 array, one row per 64-bit
+    word so that each word is one contiguous pass, and their bit counts."""
+    cols = np.ascontiguousarray(_packed_rows(masks, v)[:-1].T)
+    return cols, np.bitwise_count(cols).sum(axis=0, dtype=np.int64)
+
+
+def _overlaps(cols, rows, v: int) -> np.ndarray:
+    """Table of |x & y| for x the masks at `rows` and y every mask, from
+    `_word_columns` of masks of at most v bits."""
+    out = np.zeros((len(rows), cols.shape[1]), dtype=np.min_scalar_type(v))
+    for col in cols:
+        out += np.bitwise_count(col & col[rows, None])
+    return out
+
+
+def _max_over_others(T, n: int, score) -> np.ndarray:
+    """Entry t: the largest score(chunk)[i, p] over the members p other
+    than T[t], where chunk = T[s:s + c] holds T[t] at row i = t - s and
+    score(chunk) is a (len(chunk), n) table.  Chunks hold about
+    `_COVER_CHUNK` entries."""
+    out = np.empty(len(T), dtype=np.int64)
+    step = max(1, _COVER_CHUNK // n)
+    for s in range(0, len(T), step):
+        chunk = T[s:s + step]
+        table = score(chunk)
+        table[np.arange(len(chunk)), chunk] = 0
+        out[s:s + step] = table.max(axis=1)
+    return out
+
+
+def _lex_first_cover(reps, residual, k, pos, widest, budget):
     """Lex-first k indices from reps[pos:] ((projection, index) pairs in
     index order) whose projections cover `residual`, each strictly
     shrinking it in turn, or None.  Every member of a minimum cover shrinks
     the residual whatever the order, so this prunes no minimum cover; nor
     does giving up once the residual has more bits than k projections of
-    at most `widest` bits can hold."""
+    at most `widest` bits can hold.  Each call spends its loop's length
+    from `budget` (`_spend`)."""
     if residual.bit_count() > k * widest:
         return None
+    _spend(budget, len(reps) - pos)
     for ci in range(pos, len(reps)):
         mask, j = reps[ci]
         nr = residual & ~mask
@@ -548,7 +675,7 @@ def _lex_first_cover(reps, residual, k, pos, widest):
             if not nr:
                 return (j,)
         else:
-            sub = _lex_first_cover(reps, nr, k - 1, ci + 1, widest)
+            sub = _lex_first_cover(reps, nr, k - 1, ci + 1, widest, budget)
             if sub is not None:
                 return (j, *sub)
     return None

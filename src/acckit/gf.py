@@ -208,10 +208,11 @@ class GF:
         self._check(a, b)
         return _unwrap(self._mul(a, b))
 
-    def inv(self, a: int) -> int:
-        """a^(s-2), the inverse of a nonzero a."""
+    def inv(self, a):
+        """a^(s-2), the inverse of a nonzero int or, elementwise, of an
+        integer array with no zero entry."""
         self._check(a)
-        if a == 0:
+        if not np.all(a):
             raise ZeroDivisionError(f"0 has no inverse in GF({self.s})")
         return self.pow(a, self.s - 2)
 

@@ -73,6 +73,31 @@ def naive_cover_witness(members, K, targets):
     return S, h
 
 
+def naive_root_refuted(members, K, targets, product=None):
+    """For each target h, whether one of the cover kernel's two root
+    bounds rules out every cover of h by k <= K members other than h, from
+    their definitions over element sets: |h| > K * (largest |p & h| over
+    the members p other than h), or, on the product universe (m, q), the
+    number of blocks where h is nonempty exceeds K * (largest number of
+    blocks b with h_b nonempty and |p_b & h_b| >= ceil(|h_b| / K))."""
+    sets = [{i for i in range(mask.bit_length()) if mask >> i & 1}
+            for mask in members]
+    out = []
+    for h in targets:
+        others = [sets[p] for p in range(len(sets)) if p != h]
+        widest = max((len(p & sets[h]) for p in others), default=0)
+        refuted = len(sets[h]) > K * widest
+        if product is not None:
+            m, q = product
+            blocks = [{e for e in sets[h] if e // q == b} for b in range(m)]
+            heavy = max((sum(1 for hb in blocks if hb and
+                             len(p & hb) >= -(-len(hb) // K)) for p in others),
+                        default=0)
+            refuted = refuted or sum(1 for hb in blocks if hb) > K * heavy
+        out.append(refuted)
+    return out
+
+
 def naive_ud_code(rows, K):
     """All-pairs comparison of per-coordinate symbol sets."""
     m = len(rows[0])

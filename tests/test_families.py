@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import acckit
 import acckit.families as fam_mod
 from acckit.accs import acc_to_family, build_theorem2_acc
 from acckit.arrays import CodeBook, build_U, build_W
+from acckit.cwcodes import family_from_code, greedy_lexicode, import_code
 from acckit.families import (FamilyError, SetFamily, Universe, Witness,
                              check_distance_condition, family_from_incidence,
                              incidence_matrix, is_k_cff, is_k_ud_code,
@@ -25,9 +27,11 @@ from acckit.families import (FamilyError, SetFamily, Universe, Witness,
                              replay_witness, sample_cff, sample_ud_code,
                              sample_udf, save_family, union_of)
 from acckit.gf import GF
+from acckit.presets import FIXTURE_DIR
 
-from _oracles import (naive_cff, naive_cover_witness, naive_ud_code,
-                      naive_udf, reference_floyd_sets, reference_ud_code_walk)
+from _oracles import (naive_cff, naive_cover_witness, naive_root_refuted,
+                      naive_ud_code, naive_udf, reference_floyd_sets,
+                      reference_ud_code_walk)
 
 
 def random_family(rng, n, v, max_size=None):
@@ -472,6 +476,136 @@ def test_cover_kernel_matches_oracle(instance, data):
 
 
 @st.composite
+def product_cover_instances(draw):
+    """Families on a product universe {1..m} x {0..q-1} (m <= 4, q <= 5)
+    with K <= 4.  The members all draw a subset of each block (spread), or
+    all are dense in one block and hold at most one element in each
+    other; up to two wide members (complements of spread ones) join them,
+    then up to three repeats of members (a member equal to a target).  A
+    wide target among dense members is where the block bound refutes more
+    than the count bound."""
+    # sampled_from shrinks towards its first entries: the sizes where the
+    # block bound bites come first
+    m = draw(st.sampled_from([3, 4, 2, 1]))
+    q = draw(st.sampled_from([3, 5, 4, 2, 1]))
+    spread = st.lists(st.sets(st.integers(0, q - 1)), min_size=m, max_size=m)
+    dense = st.tuples(st.integers(0, m - 1), spread).map(
+        lambda d: [set(range(q)) - B if b == d[0] else set(sorted(B)[:1])
+                   for b, B in enumerate(d[1])])
+    wide = spread.map(lambda blocks: [set(range(q)) - B for B in blocks])
+
+    def member(blocks):
+        return blocks.map(lambda bs: {b * q + l for b, B in enumerate(bs)
+                                      for l in B}).filter(bool)
+
+    sets = draw(st.lists(member(draw(st.sampled_from([spread, dense]))),
+                         min_size=1, max_size=9))
+    for _ in range(draw(st.integers(0, 2))):
+        sets.insert(draw(st.integers(0, len(sets))), draw(member(wide)))
+    for _ in range(draw(st.integers(0, 3))):
+        copy = sets[draw(st.integers(0, len(sets) - 1))]
+        sets.insert(draw(st.integers(0, len(sets))), copy)
+    return (SetFamily.from_sets(Universe(m * q, (m, q)), sets),
+            draw(st.sampled_from([2, 3, 1, 4])))
+
+
+@given(product_cover_instances(), st.data())
+def test_product_cover_kernel_matches_oracle(instance, data):
+    fam, K = instance
+    members, n, product = fam.members, fam.n, fam.universe.product
+    res = is_k_cff(fam, K)
+    assert res.ok == naive_cff(members, K)[0]
+    assert _pair(res.witness) == naive_cover_witness(members, K, range(n))
+    indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 unique=True))
+    sub = [members[j] for j in indices]
+    part = is_partial_cff(fam, indices, K)
+    assert _pair(part.witness) == naive_cover_witness(sub, K, range(len(sub)))
+    a = data.draw(st.integers(0, n - 1))
+    tail = fam_mod._canonical_cover_witness(members, K, range(a, n), product)
+    assert _pair(tail) == naive_cover_witness(members, K, range(a, n))
+    # the root bounds refute exactly the targets their definitions do
+    v = fam.universe.v
+    for prod in (None, product):
+        got = fam_mod._root_refuted(members, K, range(n), v, prod).tolist()
+        assert got == naive_root_refuted(members, K, range(n), prod)
+    event("some refuted" if any(got) else "none refuted")
+
+
+def _count_cover_searches(monkeypatch) -> list:
+    """Patch `_lex_first_cover` to record each call's residual."""
+    calls, search = [], fam_mod._lex_first_cover
+
+    def counted(reps, residual, *rest):
+        calls.append(residual)
+        return search(reps, residual, *rest)
+
+    monkeypatch.setattr(fam_mod, "_lex_first_cover", counted)
+    return calls
+
+
+def test_root_bounds_refute_every_augmented_output_target(monkeypatch):
+    # example4's and example6's outputs, without their product: the count
+    # bound alone refutes all 357 and 747 targets, so none is searched
+    outputs = []
+    for field, s, g, K in [(GF(7), 7, [[0, 1, 2, 3], [0, 4, 5, 6]], 3),
+                           (GF(3, 2), 9, [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]],
+                            4)]:
+        singles = SetFamily.from_sets(Universe(s), [[l] for l in range(s)])
+        acc, _ = build_theorem2_acc(build_U(field, 3, s), singles,
+                                    SetFamily.from_sets(Universe(s), g), K)
+        outputs.append((acc_to_family(acc), K))
+    calls = _count_cover_searches(monkeypatch)
+    for out, K in outputs:
+        assert is_k_cff(out, K).ok
+    assert [out.n for out, _ in outputs] == [357, 747]
+    assert calls == []
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_block_bound_refutes_beyond_count_bound(K, monkeypatch):
+    # target 0 fills blocks 0..K of {1..K+2} x {0..K} and leaves block K+1
+    # empty; member d fills block d and holds element 0 of each other
+    # block.  Each of those K + 1 blocks needs its own member holding
+    # ceil((K+1)/K) = 2 of its elements, so no K members cover target 0,
+    # yet (K+1)^2 <= K(2K+1) elements pass the count bound.
+    m, q = K + 2, K + 1
+    target = [b * q + l for b in range(K + 1) for l in range(q)]
+    dense = [[b * q + l for b in range(m) for l in range(q)
+              if b == d or l == 0] for d in range(K + 1)]
+    fam = SetFamily.from_sets(Universe(m * q, (m, q)), [target] + dense)
+    members, v = fam.members, fam.universe.v
+    assert naive_root_refuted(members, K, [0], (m, q)) == [True]
+    assert naive_root_refuted(members, K, [0]) == [False]
+    assert fam_mod._root_refuted(members, K, [0], v, (m, q)).tolist() == [True]
+    assert fam_mod._root_refuted(members, K, [0], v, None).tolist() == [False]
+    calls = _count_cover_searches(monkeypatch)
+    assert fam_mod._canonical_cover_witness(members, K, [0], (m, q)) is None
+    assert calls == []
+    assert fam_mod._canonical_cover_witness(members, K, [0]) is None
+    assert calls
+
+
+def test_block_bound_refutes_example5_targets(monkeypatch):
+    # example5's output on {1..7} x {0..20}: the count bound refutes none
+    # of every 97th target, the block bound all of them
+    f = family_from_code(import_code(FIXTURE_DIR / "example5_inner_code.json"))
+    b2 = greedy_lexicode(21, 18, 13)
+    b2.words = b2.words[:1]
+    acc, _ = build_theorem2_acc(build_U(GF(31), 3, 7), f,
+                                family_from_code(b2), 3)
+    members = acc_to_family(acc).members
+    targets = range(0, len(members), 97)
+    assert len(members) == 29798
+    assert not fam_mod._root_refuted(members, 3, targets, 147, None).any()
+    assert fam_mod._root_refuted(members, 3, targets, 147, (7, 21)).all()
+    calls = _count_cover_searches(monkeypatch)
+    assert fam_mod._canonical_cover_witness(members, 3, targets,
+                                            (7, 21)) is None
+    assert calls == []
+
+
+@st.composite
 def constant_weight_instances(draw):
     """2..10 distinct w-sets over v <= 12 elements with K in 2..4: equal
     weights make a good share of them K-cover-free."""
@@ -523,11 +657,34 @@ def test_subfamily_rejects_bad_indices(example1_family):
                            example1_family.members[0]]
 
 
-def test_cff_size_guard():
+def test_cff_size_guard(monkeypatch):
+    # 150,000 members of 64 elements: 2.25 * 10^10 word operations in the
+    # root bounds alone, past the budget, so refused before any of them
     rng = random.Random(2)
-    fam = random_family(rng, 2001, 30)
-    with pytest.raises(FamilyError):
+    fam = SetFamily(Universe(64), [rng.getrandbits(64) | 1
+                                   for _ in range(150_000)])
+    t0 = time.monotonic()
+    with pytest.raises(FamilyError, match="sample_cff"):
         is_k_cff(fam, 2)
+    assert time.monotonic() - t0 < 2
+    # all 4-sets of 0..11 that meet {0, 1}, after {0..11}: no three of them
+    # partition {0..11}, and the bounds let it through to a search of about
+    # 3 * 10^5 steps, which a budget of 10^4 steps refuses midway
+    fam = SetFamily.from_sets(Universe(12), [range(12)] + [
+        S for S in itertools.combinations(range(12), 4) if S[0] < 2])
+    calls = _count_cover_searches(monkeypatch)
+    monkeypatch.setattr(fam_mod, "_COVER_STEPS", 10**4)
+    with pytest.raises(FamilyError, match="sample_cff"):
+        fam_mod._canonical_cover_witness(fam.members, 3, [0])
+    assert len(calls) > 1 and calls[0] == fam.members[0]
+    # the 286 projections alone pass a budget of 100 steps: no search runs
+    calls.clear()
+    monkeypatch.setattr(fam_mod, "_COVER_STEPS", 100)
+    with pytest.raises(FamilyError, match="sample_cff"):
+        fam_mod._canonical_cover_witness(fam.members, 3, [0])
+    assert calls == []
+    monkeypatch.setattr(fam_mod, "_COVER_STEPS", 10**6)
+    assert fam_mod._canonical_cover_witness(fam.members, 3, [0]) is None
 
 
 # ---------------------------------------------------------------------------

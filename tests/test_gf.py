@@ -156,6 +156,18 @@ def test_inverses_and_zero_division():
             gf.inv(0)
 
 
+def test_inv_takes_ints_and_arrays():
+    gf = GF(7)
+    assert gf.inv(3) == 5 and isinstance(gf.inv(3), int)
+    got = gf.inv(np.array([1, 2, 3, 6]))
+    assert got.tolist() == [1, 4, 5, 6]
+    assert gf.mul(got, np.array([1, 2, 3, 6])).tolist() == [1, 1, 1, 1]
+    assert gf.inv(np.array([[2, 4]], dtype=np.uint8)).tolist() == [[4, 2]]
+    for bad in (np.array([1, 0, 2]), [0], np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(ZeroDivisionError):
+            gf.inv(bad)
+
+
 def test_pow_zero_convention():
     for gf in (GF(5), GF(3, 2)):
         for a in gf.elements():
