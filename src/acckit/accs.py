@@ -369,5 +369,8 @@ class PriorComparison:
 
 
 def compare_prior(acc: AndAcc, prior_v: int, prior_n: int) -> PriorComparison:
+    if prior_v < 1 or prior_n < 1:
+        raise ConstructionError(f"a prior code needs v >= 1 and n >= 1, "
+                                f"got v={prior_v}, n={prior_n}")
     return PriorComparison(v=acc.v, n=acc.n, K=acc.K,
                            prior_v=prior_v, prior_n=prior_n)

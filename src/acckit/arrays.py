@@ -131,25 +131,13 @@ def rho(i: int, m: int, gf: GF) -> tuple[int, ...]:
     return tuple(gf.pow(np.arange(m), i).tolist())
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Rows rho(0), ..., rho(t-1) over GF(s), as a (t, m) array."""
-
-    gf: GF
-    t: int
-    m: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, gf: GF, t: int, m: int) -> "MomentMatrix":
-        if t < 2:
-            raise ParameterError("strength t must be >= 2")
-        if t > m:
-            raise ParameterError(f"strength t={t} cannot exceed m={m}")
-        return cls(gf=gf, t=t, m=m, rows=tuple(rho(i, m, gf) for i in range(t)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
+def _moment_rows(gf: GF, t: int, m: int) -> np.ndarray:
+    """The moment rows rho(0), ..., rho(t-1) over GF(s), as a (t, m) array."""
+    if t < 2:
+        raise ParameterError("strength t must be >= 2")
+    if t > m:
+        raise ParameterError(f"strength t={t} cannot exceed m={m}")
+    return np.array([rho(i, m, gf) for i in range(t)], dtype=np.int64)
 
 
 def _span(gf: GF, basis: np.ndarray) -> np.ndarray:
@@ -173,14 +161,13 @@ def _array_book(gf: GF, rows, provenance: str, t: int) -> CodeBook:
 def build_U(gf: GF, t: int, m: int) -> CodeBook:
     """The s^t x m array of all linear combinations of the moment rows;
     an orthogonal array of strength t and index unity."""
-    R = MomentMatrix.build(gf, t, m).as_array()
-    return _array_book(gf, _span(gf, R), "U", t)
+    return _array_book(gf, _span(gf, _moment_rows(gf, t, m)), "U", t)
 
 
 def build_V(gf: GF, t: int, m: int) -> CodeBook:
     """The s^(t-1) x m coset array: the t-th power row plus combinations
     of the first t-1 moment rows."""
-    R = MomentMatrix.build(gf, t, m).as_array()
+    R = _moment_rows(gf, t, m)
     return _array_book(gf, gf.add(_span(gf, R[: t - 1]), rho(t, m, gf)), "V", t)
 
 
@@ -242,16 +229,22 @@ def verify_oa(book: CodeBook, t: int) -> OACheck:
     """Check that every ordered t-tuple appears exactly once in every
     t-column subarray.  A wrong row count shows up as a count != 1 and is
     reported through the same witness fields; the reported failure is the
-    first in column-subset order."""
+    first in column-subset order, then in code order (last column most
+    significant).  That code lies below L = min(s^t, M + 1), since fewer
+    than s^t rows miss one of the codes 0..M, so codes are clamped at L as
+    they accumulate and counted in O(M) memory, without overflow."""
     if t < 2:
         raise ParameterError("strength t must be >= 2; t = 1 is degenerate")
     if t > book.m:
         raise ParameterError(f"strength t={t} exceeds word length m={book.m}")
     s = book.s
-    powers = s ** np.arange(t, dtype=np.int64)
+    L = min(s**t, book.M + 1)
+    radix = min(s, L)  # with s > L, a nonzero higher digit clamps anyway
     for cols in itertools.combinations(range(book.m), t):
-        codes = book.rows[:, cols] @ powers
-        counts = np.bincount(codes, minlength=s**t)
+        codes = np.zeros(book.M, dtype=np.int64)
+        for c in reversed(cols):
+            codes = np.minimum(codes * radix + np.minimum(book.rows[:, c], L), L)
+        counts = np.bincount(codes, minlength=L + 1)[:L]
         bad = np.nonzero(counts != 1)[0]
         if len(bad):
             code = int(bad[0])
@@ -259,15 +252,6 @@ def verify_oa(book: CodeBook, t: int) -> OACheck:
             return OACheck(ok=False, strength=t, columns=cols,
                            symbols=symbols, count=int(counts[code]))
     return OACheck(ok=True, strength=t)
-
-
-def coincidences(row_a, row_b) -> int:
-    """Number of coordinates where the two rows agree."""
-    a = np.asarray(row_a)
-    b = np.asarray(row_b)
-    if a.shape != b.shape:
-        raise ParameterError("rows must have equal length")
-    return int((a == b).sum())
 
 
 def min_distance(book: CodeBook) -> int:

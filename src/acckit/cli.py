@@ -16,6 +16,7 @@ Exit codes: 0 when the requested property holds or the build succeeds,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -356,6 +357,7 @@ def _add_verify_args(sp, func, K_required):
     _add_common(sp, func, seed=True)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acckit",
@@ -497,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     # every acckit input error is a ValueError; FixtureMissing is an OSError

@@ -42,7 +42,7 @@ from math import comb
 
 import numpy as np
 
-from .arrays import CodeBook, min_distance
+from .arrays import CodeBook
 from .codec import json_int, json_ints, json_list, read_json, write_json
 
 # Above this many enumerated units an exhaustive dictionary walk is refused
@@ -90,14 +90,6 @@ class Universe:
             if m * q != self.v:
                 raise FamilyError(f"product {m}x{q} does not match v={self.v}")
             object.__setattr__(self, "product", (int(m), int(q)))
-
-    def flatten(self, i: int, l: int) -> int:
-        if self.product is None:
-            raise FamilyError("universe has no product structure")
-        m, q = self.product
-        if not (1 <= i <= m and 0 <= l < q):
-            raise FamilyError(f"({i}, {l}) outside {{1..{m}}} x {{0..{q - 1}}}")
-        return (i - 1) * q + l
 
     def to_json_dict(self) -> dict:
         prod = None
@@ -193,29 +185,6 @@ def save_family(family: SetFamily, path) -> None:
 
 def load_family(path) -> SetFamily:
     return read_json(path, SetFamily.from_json_dict, FamilyError)
-
-
-def incidence_matrix(family: SetFamily) -> np.ndarray:
-    """v x n binary matrix; column j is the membership mask of member j."""
-    mat = np.zeros((family.universe.v, family.n), dtype=np.uint8)
-    for j, mask in enumerate(family.members):
-        for idx in _mask_bits(mask):
-            mat[idx, j] = 1
-    return mat
-
-
-def family_from_incidence(mat, product=None) -> SetFamily:
-    """Inverse of incidence_matrix."""
-    mat = np.asarray(mat)
-    v, n = mat.shape
-    universe = Universe(v=v, product=product)
-    members = []
-    for j in range(n):
-        mask = 0
-        for idx in np.nonzero(mat[:, j])[0]:
-            mask |= 1 << int(idx)
-        members.append(mask)
-    return SetFamily(universe, members)
 
 
 def union_of(family: SetFamily, indices) -> int:
@@ -757,12 +726,6 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
 def distance_slack(m: int, d: int, K: int) -> int:
     """m - K(m - d): positive exactly when the condition K(m - d) < m holds."""
     return m - K * (m - d)
-
-
-def check_distance_condition(book: CodeBook, K: int) -> bool:
-    """Sufficient condition K(m - d) < m on the minimum distance d; when it
-    holds the codebook is K-union-distinct."""
-    return distance_slack(book.m, min_distance(book), K) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ Two fixtures are verbatim canonical data (the twelve-set family and the
 matching twelve-row codebook).  The two constant-weight codes are search
 outputs, regenerated deterministically:
 
-* ``example3_inner_code.json`` comes from a cyclic search over Z_20: the four
-  translates of {0,4,8,12,16} form a parallel class, and a fixed-order scan
-  finds four base blocks whose twenty translates each stay pairwise within
-  the overlap cap, giving 84 words; the first 83 in ascending order are
-  kept.  No randomness is involved.
+* ``example3_inner_code.json`` comes from a cyclic search over Z_20
+  (``CYCLIC_N``) for weight-5 blocks (``CYCLIC_W``) meeting in at most 2
+  points (``CYCLIC_OVERLAP``): the four translates of {0,4,8,12,16} (step
+  ``CYCLIC_STEP``) form a parallel class, and a fixed-order scan finds four
+  base blocks whose twenty translates stay pairwise within that cap, giving
+  84 words; the first 83 in ascending order are kept.  No randomness.
 * ``example5_inner_code.json`` is the annealing searcher's output at its
-  frozen seed.
+  frozen seed ``CW21_SEED`` and budget ``CW21_BUDGET``.
 
 Run as ``python -m acckit.fixturegen [--out-dir DIR]``.
 """
@@ -38,10 +39,14 @@ EXAMPLE2_ROWS = [
 # Frozen search parameters for the 31-word weight-4 code.
 CW21_SEED = 4
 CW21_BUDGET = 300_000
+# Frozen parameters of the cyclic search for the 83-word weight-5 code.
+CYCLIC_N = 20
+CYCLIC_W = 5
+CYCLIC_OVERLAP = 2
+CYCLIC_STEP = 4
 
 
-def cyclic_weight5_code(n: int = 20, w: int = 5, max_overlap: int = 2,
-                        step: int = 4) -> list[int]:
+def cyclic_weight5_code() -> list[int]:
     """Deterministic cyclic packing search over Z_n.
 
     Starts from the parallel class of translates of {0, step, 2*step, ...},
@@ -49,6 +54,7 @@ def cyclic_weight5_code(n: int = 20, w: int = 5, max_overlap: int = 2,
     within the cap and that fit the parallel class, and picks the first
     mutually compatible quadruple of orbits in scan order.
     """
+    n, w, max_overlap, step = CYCLIC_N, CYCLIC_W, CYCLIC_OVERLAP, CYCLIC_STEP
     full = (1 << n) - 1
 
     def rot(mask: int, x: int) -> int:

@@ -233,12 +233,6 @@ class GF:
 
     # -- misc ----------------------------------------------------------------
 
-    def spec_string(self) -> str:
-        if self.e == 1:
-            return str(self.p)
-        coeffs = ",".join(str(c) for c in self.modulus)
-        return f"{self.p}^{self.e}:{coeffs}"
-
     def __eq__(self, other):
         return (isinstance(other, GF)
                 and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))

@@ -8,8 +8,10 @@ form, as references for the vectorised kernels, the codebook walk in its
 first, tuple-keyed form, as a reference for the one-hot walk, and the
 annealer's feasible-subset extraction in its first, recount-every-round
 form.  Reducibility of a field modulus is decided by multiplying out every
-pair of monic factors."""
+pair of monic factors, and orthogonal arrays are checked by counting every
+projected tuple in a Counter."""
 
+import collections
 import functools
 import itertools
 
@@ -96,6 +98,21 @@ def naive_root_refuted(members, K, targets, product=None):
             refuted = refuted or sum(1 for hb in blocks if hb) > K * heavy
         out.append(refuted)
     return out
+
+
+def naive_oa(rows, s, t):
+    """First failure of "every t-tuple once in every t-column subarray":
+    (columns, symbols, count) for the first column subset and, within it,
+    the first tuple in code order (last symbol most significant) whose
+    count is not 1; None when the rows form the array."""
+    m = len(rows[0])
+    for cols in itertools.combinations(range(m), t):
+        counts = collections.Counter(tuple(r[c] for c in cols) for r in rows)
+        for high_first in itertools.product(range(s), repeat=t):
+            symbols = high_first[::-1]
+            if counts[symbols] != 1:
+                return cols, symbols, counts[symbols]
+    return None
 
 
 def naive_ud_code(rows, K):

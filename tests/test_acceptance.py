@@ -16,9 +16,8 @@ from acckit.accs import (acc_to_family, build_theorem1_acc, build_theorem2_acc,
 from acckit.arrays import build_U, build_W, check_lemma1_bounds, min_distance
 from acckit.collusion import and_attack, trace
 from acckit.cwcodes import check_condition_8, family_from_code, greedy_lexicode, import_code
-from acckit.families import (SetFamily, Universe, check_distance_condition,
-                             is_k_cff, is_k_ud_code, is_k_udf, is_partial_cff,
-                             sample_cff)
+from acckit.families import (SetFamily, Universe, distance_slack, is_k_cff,
+                             is_k_ud_code, is_k_udf, is_partial_cff, sample_cff)
 from acckit.fixturegen import FIXTURE_DIR
 from acckit.gf import GF
 from acckit.presets import run_preset
@@ -42,7 +41,7 @@ def test_criterion_01_stacked_array_reproduction(example2_book):
     assert w.M == 12
     d = min_distance(w)
     assert d == 1
-    assert check_distance_condition(w, 2) is False
+    assert distance_slack(w.m, d, 2) <= 0
     assert is_k_ud_code(w, 2).ok
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0

@@ -3,15 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import event, given, strategies as st
 
-from acckit.arrays import (CodeBook, MomentMatrix, ParameterError, build_U,
-                           build_V, build_W, check_lemma1_bounds, coincidences,
-                           load_codebook, load_codebook_text, min_distance,
-                           provenance_holds, rho, save_codebook,
-                           save_codebook_text, verify_oa)
+from acckit.arrays import (CodeBook, ParameterError, build_U, build_V, build_W,
+                           check_lemma1_bounds, load_codebook,
+                           load_codebook_text, min_distance, provenance_holds,
+                           rho, save_codebook, save_codebook_text, verify_oa)
 from acckit.gf import GF
 
-from _oracles import gf_rank
+from _oracles import gf_rank, naive_oa
 from conftest import EXAMPLE2_ROWS
 
 
@@ -30,10 +30,10 @@ def test_moment_matrix_submatrices_nonsingular():
     rng = random.Random(11)
     for gf, t, m in [(GF(5), 2, 5), (GF(7), 3, 7), (GF(3, 2), 3, 9),
                      (GF(31), 3, 7)]:
-        R = MomentMatrix.build(gf, t, m)
+        R = [rho(i, m, gf) for i in range(t)]
         for _ in range(10):
             cols = rng.sample(range(m), t)
-            sub = [[row[c] for c in cols] for row in R.rows]
+            sub = [[row[c] for c in cols] for row in R]
             assert gf_rank(sub, gf) == t
 
 
@@ -83,6 +83,54 @@ def test_verify_oa():
         verify_oa(w, 4)  # exceeds word length
 
 
+def test_verify_oa_codes_past_int64():
+    # s^3 = 2^66 codes: an int64 code of the last row would overflow
+    s = 2**22
+    rows = [(0, 0, 0), (1, 0, 0), (1, 0, 0), (s - 1, s - 1, s - 1)]
+    verdict = verify_oa(CodeBook(s=s, m=3, rows=rows), 3)
+    assert (verdict.columns, verdict.symbols, verdict.count) == ((0, 1, 2),
+                                                                 (1, 0, 0), 2)
+
+
+@st.composite
+def oa_books(draw):
+    """(s, t, rows): U over GF(3) or GF(5) with at most one row dropped,
+    repeated or changed, or a few random rows, so both verdicts and wrong
+    row counts occur.  Random rows may use s = 3000, where s^t counters
+    would take 72 MB at t = 2 and 201 GiB at t = 3."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([3, 5]))
+        m = draw(st.integers(3, min(p, 4)))
+        t = draw(st.integers(2, 3))
+        rows = build_U(GF(p), t, m).rows.tolist()
+        edit = draw(st.sampled_from(["none", "drop", "repeat", "change"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        if edit == "drop":
+            del rows[i]
+        elif edit == "repeat":
+            rows.append(rows[i])
+        elif edit == "change":
+            rows[i][draw(st.integers(0, m - 1))] = draw(st.integers(0, p - 1))
+        return p, t, rows
+    s = draw(st.sampled_from([1, 2, 3, 4, 3000]))
+    m = draw(st.integers(2, 4))
+    t = draw(st.integers(2, m))
+    rows = draw(st.lists(st.lists(st.integers(0, s - 1), min_size=m,
+                                  max_size=m), min_size=1, max_size=20))
+    return s, t, rows
+
+
+@given(oa_books())
+def test_verify_oa_matches_counter_oracle(case):
+    s, t, rows = case
+    verdict = verify_oa(CodeBook(s=s, m=len(rows[0]), rows=rows), t)
+    want = naive_oa(rows, s, t)
+    event("orthogonal array" if want is None else "fails")
+    assert verdict.ok == (want is None)
+    if want is not None:
+        assert (verdict.columns, verdict.symbols, verdict.count) == want
+
+
 def test_verify_oa_grid():
     for s, gf in [(3, GF(3)), (5, GF(5)), (7, GF(7)), (9, GF(3, 2))]:
         for t in (2, 3):
@@ -100,12 +148,11 @@ def test_min_distance_and_coincidences(example2_book):
     # a repeated row, here the first and the last, gives d = 0
     rows = np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1], [0, 1, 2]])
     assert min_distance(CodeBook(s=3, m=3, rows=rows)) == 0
-    assert coincidences((0, 0, 0), (2, 0, 0)) == 2
-    assert coincidences((0, 1, 2), (2, 0, 1)) == 0
+    # two rows agreeing in c of m coordinates are at distance m - c
+    assert min_distance(CodeBook(s=3, m=3, rows=[(0, 0, 0), (2, 0, 0)])) == 1
+    assert min_distance(CodeBook(s=3, m=3, rows=[(0, 1, 2), (2, 0, 1)])) == 3
     with pytest.raises(ParameterError):
         min_distance(CodeBook(s=2, m=2, rows=np.array([[0, 1]])))
-    with pytest.raises(ParameterError):
-        coincidences((0, 1), (0, 1, 2))
 
 
 def test_min_distance_paths_agree_on_linear_books():
@@ -265,7 +312,7 @@ def test_extension_field_builds_match_scalar_arithmetic(u1024):
 
 
 def _check_rows_by_scalar_arithmetic(gf, t, m, u, v):
-    R = MomentMatrix.build(gf, t, m).rows
+    R = [rho(i, m, gf) for i in range(t)]
     shift = rho(t, m, gf)
     s = gf.s
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from acckit import cli
 from acckit.cli import main
 
 from _oracles import poly_field_add, poly_field_mul
@@ -102,6 +103,14 @@ def test_oa_check_failure_exit_code(tmp_path, capsys):
                            "2", "--json")
     assert code == 1
     assert json.loads(out)["ok"] is False
+    # s = 3000, so s^3 = 2.7e10 codes: a counter per code would need 201 GiB
+    book = tmp_path / "big.txt"
+    book.write_text("1 2 3\n2999 2999 2999\n")
+    code, out, _ = run_cli(capsys, "oa", "check", "--book", str(book), "--t",
+                           "3", "--json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "strength": 3, "columns": [0, 1, 2],
+                               "symbols": [0, 0, 0], "count": 0}
 
 
 def test_oa_lemma1(capsys):
@@ -258,6 +267,10 @@ def test_acc_roundtrip_via_cli(tmp_path, capsys):
                            "--prior-v", "9", "--prior-n", "11", "--json")
     assert code == 0
     assert json.loads(out)["delta_n"] == 1
+    for v, n in (("-1", "0"), ("0", "5"), ("9", "0")):
+        code, out, err = run_cli(capsys, "acc", "compare", "--acc", acc,
+                                 "--prior-v", v, "--prior-n", n, "--json")
+        assert code == 2 and out == "" and "prior" in err, (v, n)
 
 
 def test_acc_build_t1_via_cli(tmp_path, capsys):
@@ -414,3 +427,27 @@ def test_sampled_json_names_the_sampler(capsys):
                            "--trials", "100", "--json")
     assert code in (0, 1)
     assert json.loads(out)["sampler"] == "batched-v1"
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    run_cli(capsys, "preset", "run", "example1", "--out-dir", str(tmp_path))
+    verify = ["acc", "verify", "--acc", str(tmp_path / "example1_acc.json"),
+              "--prop", "udf", "--K", "2", "--mode", "sampled", "--trials",
+              "50"]
+    calls = [["preset", "list", "--json"], ["preset", "list"],
+             [*verify, "--seed", "5", "--json"], [*verify, "--json"],
+             [*verify, "--seed", "5"], verify,
+             ["oa", "check", "--book", "/nonexistent.json", "--t", "2"]]
+
+    def outcome(argv, fresh):
+        if fresh:
+            cli.build_parser.cache_clear()
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    want = [outcome(argv, fresh=True) for argv in calls]
+    got = [outcome(argv, fresh=False) for argv in calls]
+    assert got == want
+    assert cli.build_parser() is cli.build_parser()
+    seeds = [json.loads(out)["seed"] for _, out in want[2:4]]
+    assert seeds == [5, 0]

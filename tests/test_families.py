@@ -18,14 +18,13 @@ from hypothesis import event, given, settings, strategies as st
 import acckit
 import acckit.families as fam_mod
 from acckit.accs import acc_to_family, build_theorem2_acc
-from acckit.arrays import CodeBook, build_U, build_W
+from acckit.arrays import CodeBook, build_U, build_W, min_distance
 from acckit.cwcodes import family_from_code, greedy_lexicode, import_code
 from acckit.families import (FamilyError, SetFamily, Universe, Witness,
-                             check_distance_condition, family_from_incidence,
-                             incidence_matrix, is_k_cff, is_k_ud_code,
-                             is_k_udf, is_partial_cff, load_family,
-                             replay_witness, sample_cff, sample_ud_code,
-                             sample_udf, save_family, union_of)
+                             distance_slack, is_k_cff, is_k_ud_code, is_k_udf,
+                             is_partial_cff, load_family, replay_witness,
+                             sample_cff, sample_ud_code, sample_udf,
+                             save_family, union_of)
 from acckit.gf import GF
 from acckit.presets import FIXTURE_DIR
 
@@ -49,12 +48,7 @@ def random_family(rng, n, v, max_size=None):
 # types and IO
 # ---------------------------------------------------------------------------
 
-def test_universe_flatten_and_labels():
-    u = Universe(9, (3, 3))
-    assert u.flatten(1, 0) == 0
-    assert u.flatten(3, 2) == 8
-    with pytest.raises(FamilyError):
-        u.flatten(0, 0)
+def test_universe_rejects_mismatched_product():
     with pytest.raises(FamilyError):
         Universe(8, (3, 3))
 
@@ -67,22 +61,6 @@ def test_family_construction_guards():
         SetFamily(u, [1 << 4])  # outside universe
     with pytest.raises(FamilyError):
         SetFamily.from_sets(u, [[4]])
-
-
-def test_incidence_matrix_example1(example1_family):
-    mat = incidence_matrix(example1_family)
-    assert mat.shape == (9, 12)
-    assert list(np.nonzero(mat[:, 0])[0]) == [0, 3, 6]
-    assert mat.sum() == 36  # twelve members of size three
-    # round trip with the inverse constructor
-    back = family_from_incidence(mat, product=(3, 3))
-    assert back == example1_family
-
-
-def test_incidence_singleton():
-    fam = SetFamily.from_sets(Universe(5), [[2]])
-    mat = incidence_matrix(fam)
-    assert mat.sum() == 1 and mat[2, 0] == 1
 
 
 def test_family_json_roundtrip(tmp_path, example1_family):
@@ -693,15 +671,16 @@ def test_cff_size_guard(monkeypatch):
 
 def test_ud_code_example2(example2_book):
     assert is_k_ud_code(example2_book, 2).ok
-    assert not check_distance_condition(example2_book, 2)  # d=1 fails it
-    assert check_distance_condition(example2_book, 1)
+    d = min_distance(example2_book)
+    assert distance_slack(example2_book.m, d, 2) <= 0  # d=1 fails it
+    assert distance_slack(example2_book.m, d, 1) > 0
 
 
 def test_ud_code_distance_condition_examples():
     u7 = build_U(GF(7), 3, 7)
-    assert check_distance_condition(u7, 3)  # 3*(7-5) = 6 < 7
+    assert distance_slack(u7.m, min_distance(u7), 3) > 0  # 3*(7-5) = 6 < 7
     w3 = build_W(GF(3), 2, 3)
-    assert check_distance_condition(w3, 1)  # all rows distinct
+    assert distance_slack(w3.m, min_distance(w3), 1) > 0  # all rows distinct
 
 
 def test_ud_code_duplicate_rows():

@@ -233,7 +233,7 @@ def test_parse_field():
         parse_field("7:1,2")
     with pytest.raises(FieldError):
         parse_field("3^x")
-    assert parse_field("3^2").spec_string() == "3^2:1,0,1"
+    assert parse_field("3^2").modulus == (1, 0, 1)
 
 
 def test_fields_are_pure_and_reusable():
