@@ -84,12 +84,6 @@ class Certificate:
     def certified(self) -> bool:
         return all(e.result for e in self.entries if e.required)
 
-    def entry(self, name: str) -> ConditionEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def to_json_dict(self) -> dict:
         return {
             "construction": self.construction,

@@ -87,27 +87,19 @@ class CodeBook:
                             if "modulus" in d else None))
 
 
-# File formats: JSON when the path ends in ".json", else one row per line.
+# File formats: JSON when the path ends in ".json", else one row of
+# space-separated integers per line, with s the largest symbol + 1.
 def save_codebook(book: CodeBook, path) -> None:
     if str(path).endswith(".json"):
         write_json(book.to_json_dict(), path)
     else:
-        save_codebook_text(book, path)
+        write_lines((" ".join(map(str, row)) for row in book.rows.tolist()), path)
 
 
 def load_codebook(path) -> CodeBook:
     if not str(path).endswith(".json"):
-        return load_codebook_text(path)
+        return read_lines(path, _book_from_lines, ParameterError)
     return read_json(path, CodeBook.from_json_dict, ParameterError)
-
-
-def save_codebook_text(book: CodeBook, path) -> None:
-    write_lines((" ".join(map(str, row)) for row in book.rows.tolist()), path)
-
-
-def load_codebook_text(path) -> CodeBook:
-    """Read rows of space-separated integers; s is the largest symbol + 1."""
-    return read_lines(path, _book_from_lines, ParameterError)
 
 
 def _book_from_lines(lines) -> CodeBook:

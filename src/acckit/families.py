@@ -136,9 +136,6 @@ class SetFamily:
     def n(self) -> int:
         return len(self.members)
 
-    def member_elements(self, j: int) -> tuple[int, ...]:
-        return _mask_bits(self.members[j])
-
     def subfamily(self, indices) -> "SetFamily":
         """Members at `indices`, in that order; indices must be distinct
         and lie in [0, n)."""

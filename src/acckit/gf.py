@@ -108,12 +108,15 @@ class GF:
     __slots__ = ("p", "e", "s", "modulus", "_powers", "_reducer")
 
     def __init__(self, p: int, e: int = 1, modulus=None):
+        # caps first: is_prime(p) or p**e on huge inputs would run for minutes
+        if isinstance(p, int) and p >= MAX_FIELD_SIZE:
+            raise FieldError(f"characteristic {p} exceeds the 2^16 cap")
         if not isinstance(p, int) or not is_prime(p):
             raise FieldError(f"characteristic must be prime, got {p!r}")
-        if p >= MAX_FIELD_SIZE:
-            raise FieldError(f"characteristic {p} exceeds the 2^16 cap")
         if not isinstance(e, int) or e < 1:
             raise FieldError(f"extension degree must be >= 1, got {e!r}")
+        if e > 16:  # p >= 2, so p^e > 2^16
+            raise FieldError(f"field size {p}^{e} exceeds the 2^16 cap")
         s = p**e
         if s > MAX_FIELD_SIZE:
             raise FieldError(f"field size {s} exceeds the 2^16 cap")
@@ -195,26 +198,10 @@ class GF:
         self._check(a, b)
         return _unwrap(self._add(a, b))
 
-    def neg(self, a):
-        """-a for ints or, elementwise, integer arrays."""
-        self._check(a)
-        return _unwrap(self._join(-self._digits(a)[0]))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         """a * b for ints or, elementwise, integer arrays."""
         self._check(a, b)
         return _unwrap(self._mul(a, b))
-
-    def inv(self, a):
-        """a^(s-2), the inverse of a nonzero int or, elementwise, of an
-        integer array with no zero entry."""
-        self._check(a)
-        if not np.all(a):
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.s})")
-        return self.pow(a, self.s - 2)
 
     def pow(self, a, k: int):
         """Square-and-multiply power of an int or, elementwise, an integer

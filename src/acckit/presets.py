@@ -92,9 +92,6 @@ class PresetResult:
     certificate: Certificate
     summary: dict
 
-    def to_json_dict(self) -> dict:
-        return self.summary
-
 
 def _singleton_family(q: int) -> SetFamily:
     return SetFamily.from_sets(Universe(q), [[l] for l in range(q)])

@@ -277,7 +277,8 @@ def _monic_products(p, e):
 
 def gf_rank(rows, gf):
     """Rank of a matrix over the field by Gaussian elimination using only
-    the field's scalar operations."""
+    the field's scalar add and mul: an inverse is found by search, and -x
+    is (p - 1) * x."""
     mat = [list(r) for r in rows]
     n_rows = len(mat)
     n_cols = len(mat[0]) if n_rows else 0
@@ -291,12 +292,12 @@ def gf_rank(rows, gf):
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = gf.inv(mat[rank][col])
+        inv = next(x for x in range(1, gf.s) if gf.mul(mat[rank][col], x) == 1)
         mat[rank] = [gf.mul(inv, x) for x in mat[rank]]
         for r in range(n_rows):
             if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [gf.sub(x, gf.mul(factor, y))
+                factor = gf.mul(gf.p - 1, mat[r][col])
+                mat[r] = [gf.add(x, gf.mul(factor, y))
                           for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import event, given, strategies as st
 
 from acckit.arrays import (CodeBook, ParameterError, build_U, build_V, build_W,
-                           check_lemma1_bounds, load_codebook,
-                           load_codebook_text, min_distance, provenance_holds,
-                           rho, save_codebook, save_codebook_text, verify_oa)
+                           check_lemma1_bounds, load_codebook, min_distance,
+                           provenance_holds, rho, save_codebook, verify_oa)
 from acckit.gf import GF
 
 from _oracles import gf_rank, naive_oa
@@ -272,14 +271,14 @@ def test_json_and_text_roundtrip(tmp_path, example2_book):
     again = load_codebook(p2)
     assert again.t == 2 and again.provenance == "W"
 
+    # save_codebook and load_codebook write and read text unless the path
+    # ends in .json
     p3 = tmp_path / "book.txt"
-    save_codebook_text(example2_book, p3)
-    again = load_codebook_text(p3)
+    save_codebook(example2_book, p3)
+    again = load_codebook(p3)
     assert again.row_tuples() == example2_book.row_tuples()
     assert again.s == 3
 
-    # save_codebook and load_codebook write and read text unless the path
-    # ends in .json
     p4 = tmp_path / "w.txt"
     save_codebook(w, p4)
     assert p4.read_text() == "".join(

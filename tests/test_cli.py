@@ -45,6 +45,26 @@ def test_field_bad_spec(capsys):
     assert "error" in err
 
 
+# every command that takes --field, on a prime p over 2^16 and on an
+# exponent whose power alone would take minutes
+FIELD_COMMANDS = {
+    "field": ["field", "elements"],
+    "field-table": ["field", "table"],
+    "oa-build": ["oa", "build", "--t", "2", "--m", "3", "--out", "u.json"],
+    "oa-lemma1": ["oa", "lemma1", "--t", "2", "--m", "3"],
+    "scan-remark6": ["scan-remark6", "--t", "2", "--m", "3", "--K", "2"],
+}
+
+
+@pytest.mark.parametrize("spec", ["2305843009213693951", "2^3000000000"])
+@pytest.mark.parametrize("command", sorted(FIELD_COMMANDS))
+def test_oversized_field_specs_exit_2(tmp_path, monkeypatch, capsys, spec, command):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *FIELD_COMMANDS[command], "--field", spec)
+    assert code == 2 and "2^16 cap" in err
+    assert not (tmp_path / "u.json").exists()
+
+
 def test_oa_build_check_distance(tmp_path, capsys):
     book = tmp_path / "u.json"
     code, out, _ = run_cli(capsys, "oa", "build", "--field", "7", "--t", "3",

@@ -358,9 +358,8 @@ def test_cff_example1_witness(example1_family):
     assert w.j2 == (0, 4) and w.covered == 9
     assert replay_witness(example1_family, w)
     # as element sets: {10,20,30} u {11,21,31} covers {10,21,31}
-    assert example1_family.member_elements(0) == (0, 3, 6)
-    assert example1_family.member_elements(4) == (1, 4, 7)
-    assert example1_family.member_elements(9) == (0, 4, 7)
+    sets = example1_family.to_json_dict()["sets"]
+    assert (sets[0], sets[4], sets[9]) == ([0, 3, 6], [1, 4, 7], [0, 4, 7])
 
 
 def test_cff_witness_tie_goes_to_earlier_target():
@@ -614,7 +613,7 @@ def test_cff_planted_cover_at_scale():
     singles = SetFamily.from_sets(Universe(7), [[l] for l in range(7)])
     acc, _ = build_theorem2_acc(build_U(GF(7), 3, 7), singles, g, 3)
     out = acc_to_family(acc)
-    assert out.n == 357 and out.member_elements(350) == (21, 25, 26, 27)
+    assert out.n == 357 and fam_mod._mask_bits(out.members[350]) == (21, 25, 26, 27)
     planted = SetFamily.from_sets(out.universe, [[0, 8, 21, 25, 26]])
     fam = SetFamily(out.universe, out.members + planted.members)
     res = is_k_cff(fam, 3)
@@ -898,15 +897,12 @@ def test_one_hot_universe_counts_used_symbols():
     book = CodeBook(s=2**24, m=2, rows=np.array([[0, 0], [1, 1], [2, 2]]))
     fam = fam_mod._one_hot(book)
     assert fam.universe.v == 6
-    assert [fam.member_elements(j) for j in range(3)] == [(0, 3), (1, 4),
-                                                          (2, 5)]
+    assert fam.to_json_dict()["sets"] == [[0, 3], [1, 4], [2, 5]]
     spread = CodeBook(s=10, m=3, rows=np.array([[9, 0, 5], [2, 0, 5],
                                                 [9, 7, 5]]))
     fam = fam_mod._one_hot(spread)
     assert fam.universe.v == 2 + 2 + 1
-    assert [fam.member_elements(j) for j in range(3)] == [(1, 2, 4),
-                                                          (0, 2, 4),
-                                                          (1, 3, 4)]
+    assert fam.to_json_dict()["sets"] == [[1, 2, 4], [0, 2, 4], [1, 3, 4]]
 
 
 def test_ud_code_errors():
