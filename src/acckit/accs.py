@@ -247,11 +247,10 @@ def build_theorem1_acc(code: CodeBook, family: SetFamily, K: int,
 # ---------------------------------------------------------------------------
 
 def check_theorem2_conditions(code: CodeBook, f: SetFamily, g: SetFamily,
-                              K: int, cw_pair=None) -> Certificate:
+                              K: int) -> Certificate:
     """Evaluate the four augmentation hypotheses plus member-distinctness,
     all exhaustively.  Never raises on a failed condition; the certificate
-    records everything.  cw_pair, when given as (B1, B2) constant-weight
-    codes, records their sufficient inequalities as extra evidence."""
+    records everything."""
     if f.universe.v != g.universe.v:
         raise ConstructionError(
             f"F and G live on different universes: {f.universe.v} vs {g.universe.v}")
@@ -281,24 +280,14 @@ def check_theorem2_conditions(code: CodeBook, f: SetFamily, g: SetFamily,
 
     distinct = len(set(f.members) | set(g.members)) == f.n + g.n
     cert.add("F and G members distinct", "exhaustive", distinct)
-
-    if cw_pair is not None:
-        from .cwcodes import check_condition_8
-        b1, b2 = cw_pair
-        c8 = check_condition_8(b1, b2, K)
-        cert.add("weight-code inequalities", "structural", c8.all_ok,
-                 required=False,
-                 params={"w1": b1.w, "d1": b1.d, "w2": b2.w, "d2": b2.d,
-                         **c8.to_json_dict()})
     return cert
 
 
-def build_theorem2_acc(code: CodeBook, f: SetFamily, g: SetFamily, K: int,
-                       cw_pair=None):
+def build_theorem2_acc(code: CodeBook, f: SetFamily, g: SetFamily, K: int):
     """Augmentation build: the concatenated family plus, for each
     coordinate, a tagged copy of every member of G.  Returns
     (AndAcc, Certificate); refuses if any hypothesis fails."""
-    cert = check_theorem2_conditions(code, f, g, K, cw_pair=cw_pair)
+    cert = check_theorem2_conditions(code, f, g, K)
     if not cert.certified:
         raise ConstructionRefused(cert)
     h0 = build_h0(code, f)

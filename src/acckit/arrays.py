@@ -169,16 +169,21 @@ def build_W(gf: GF, t: int, m: int) -> CodeBook:
     return _array_book(gf, rows, "W", t)
 
 
+def array_rows(which: str, s: int, t: int) -> int:
+    """Row count of the U, V or W array over GF(s) at strength t."""
+    u, v = {"U": (1, 0), "V": (0, 1), "W": (1, 1)}[which]
+    return u * s**t + v * s**(t - 1)
+
+
 def provenance_holds(book: CodeBook) -> bool:
     """True when book is tagged U, V or W with a strength t and its rows are
     that array rebuilt over GF(s), with the book's modulus or else the
     built-in one.  A file can set any tag, so a shortcut that rests on the
     tag asks this first."""
     s, t, m = book.s, book.t, book.m
-    counts = {"U": (1, 0), "V": (0, 1), "W": (1, 1)}.get(book.provenance)
-    if (counts is None or t is None
+    if (book.provenance not in ("U", "V", "W") or t is None
             or not (2 <= t <= m and 3 <= m <= s <= MAX_FIELD_SIZE)
-            or book.M != counts[0] * s**t + counts[1] * s**(t - 1)):
+            or book.M != array_rows(book.provenance, s, t)):
         return False
     p = next(d for d in range(2, s + 1) if s % d == 0)
     try:

@@ -26,12 +26,30 @@ from .gf import parse_field
 
 PASS, FAIL, USAGE = 0, 1, 2
 
+# Most cells `oa build`, `oa lemma1` or `field table` builds: at the cap a
+# command takes about 0.3-0.5 GB and 5-10 s.
+MAX_CELLS = 1 << 22
+
 
 def _emit(obj, as_json: bool, text: str | None = None) -> None:
     if as_json:
         print(json.dumps(obj, sort_keys=True))
     elif text is not None:
         print(text)
+
+
+def _check_cells(rows: int, cols: int, what: str) -> None:
+    """Refuse, before building it, a rows x cols array past MAX_CELLS."""
+    if rows * cols > MAX_CELLS:
+        raise ValueError(f"{what} has {rows} x {cols} cells, past the cap "
+                         f"of {MAX_CELLS} cells")
+
+
+def _check_array_cells(which: str, gf, t: int, m: int) -> None:
+    # outside 2 <= t <= m <= s the builders refuse the parameters themselves
+    if 2 <= t <= m <= gf.s:
+        _check_cells(arrays.array_rows(which, gf.s, t), m,
+                     f"{which} over GF({gf.s}) at t = {t}, m = {m}")
 
 
 def _parse_indices(text: str, base: int = 0) -> list[int]:
@@ -67,6 +85,7 @@ def cmd_field_elements(args) -> int:
 
 def cmd_field_table(args) -> int:
     gf = parse_field(args.field)
+    _check_cells(gf.s, gf.s, f"each table of GF({gf.s})")
     elems = gf.elements()
     add = [gf.add(a, elems).tolist() for a in elems]
     mul = [gf.mul(a, elems).tolist() for a in elems]
@@ -86,6 +105,7 @@ def cmd_field_table(args) -> int:
 
 def cmd_oa_build(args) -> int:
     gf = parse_field(args.field)
+    _check_array_cells(args.which, gf, args.t, args.m)
     builder = {"U": arrays.build_U, "V": arrays.build_V, "W": arrays.build_W}
     book = builder[args.which](gf, args.t, args.m)
     arrays.save_codebook(book, args.out)
@@ -116,6 +136,7 @@ def cmd_oa_distance(args) -> int:
 
 def cmd_oa_lemma1(args) -> int:
     gf = parse_field(args.field)
+    _check_array_cells("W", gf, args.t, args.m)  # it builds U and V: W's rows
     report = arrays.check_lemma1_bounds(gf, args.t, args.m)
     _emit(report.to_json_dict(), args.json,
           f"coincidence maxima (U-U, V-V, U-V) = "

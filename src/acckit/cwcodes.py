@@ -270,12 +270,7 @@ def stochastic_search(q: int, d: int, w: int, target_n: int,
                 if len(feasible) > len(best_words):
                     best_words = feasible
     if energy == 0:
-        best_words = list(dict.fromkeys(state))
-        if len(best_words) == target_n:
-            code = ConstantWeightCode(q=q, w=w, d=d, words=sorted(best_words))
-            verdict = verify_cw_code(code)
-            if verdict.ok:
-                return code
+        best_words = state
     code = ConstantWeightCode(q=q, w=w, d=d, words=sorted(set(best_words)))
     verdict = verify_cw_code(code)
     if not verdict.ok:

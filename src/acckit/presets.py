@@ -1,10 +1,11 @@
 """End-to-end pipeline presets reproducing the six canonical builds.
 
-Each preset assembles its inputs (fixtures, generated arrays, searched
-codes), runs the appropriate construction with the verification depth the
-instance admits, and returns the code, its certificate, and a summary
-that includes the comparison against the given prior parameters.  A preset
-that does not reach its expected (v, n, K) fails loudly.
+Each preset states its own inputs (fixture files, arrays built over a
+named field, literal families and codes), runs the appropriate construction
+with the verification depth the instance admits, and returns the code, its
+certificate, and a summary that includes the comparison against the given
+prior parameters.  A preset that does not reach the (v, n, K) of its row in
+`PRESETS` fails loudly with `PresetError`; it never adapts to its inputs.
 
 The large instances are certified at mixed depth: arithmetic facts and the
 family-level hypotheses are always checked exhaustively; output-family
@@ -15,6 +16,7 @@ concatenation outputs and example4) and by seeded sampling where it does not
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -24,7 +26,8 @@ from .accs import (AndAcc, Certificate, acc_to_family, build_theorem1_acc,
                    save_certificate)
 from .arrays import build_U, build_W, load_codebook, min_distance, verify_oa
 from .codec import write_json
-from .cwcodes import greedy_lexicode, import_code, family_from_code
+from .cwcodes import (ConstantWeightCode, check_condition_8, family_from_code,
+                      import_code)
 from .families import (SetFamily, Universe, distance_slack, is_k_cff,
                        is_k_udf, is_partial_cff, load_family, sample_udf)
 from .gf import GF
@@ -45,34 +48,12 @@ class FixtureMissing(FileNotFoundError):
 @dataclass(frozen=True)
 class PipelinePreset:
     name: str
+    runner: Callable  # (preset, fixtures) -> (AndAcc, Certificate, notes)
     K: int
-    expected_v: int  # nominal; example3 recomputes from its fixture
+    expected_v: int
     expected_n: int
     prior: tuple[int, int] | None
     description: str
-
-
-PRESETS: dict[str, PipelinePreset] = {
-    p.name: p for p in [
-        PipelinePreset("example1", 2, 9, 12, None,
-                       "twelve-set family over a 9-element universe via "
-                       "concatenation of the canonical twelve-row codebook"),
-        PipelinePreset("example2", 2, 9, 12, None,
-                       "same code built from the stacked array over GF(3)"),
-        PipelinePreset("example3", 2, 60, 6972, (249, 6889),
-                       "stacked array over GF(83) concatenated with an "
-                       "83-member weight-5 family"),
-        PipelinePreset("example4", 3, 49, 357, (49, 343),
-                       "strength-3 array over GF(7) with singletons, "
-                       "augmented by two 4-element sets"),
-        PipelinePreset("example5", 3, 147, 29798, (217, 29791),
-                       "strength-3 array over GF(31) with a 31-member "
-                       "weight-4 family, augmented by one 13-element set"),
-        PipelinePreset("example6", 4, 81, 747, (81, 729),
-                       "strength-3 array over GF(9) with singletons, "
-                       "augmented by two 5-element sets"),
-    ]
-}
 
 
 def fixture_path(filename: str, fixtures: Path | str | None = None) -> Path:
@@ -98,13 +79,11 @@ def _singleton_family(q: int) -> SetFamily:
 
 
 def _finish(preset: PipelinePreset, acc: AndAcc, cert: Certificate,
-            notes: list[str], expected_v: int | None = None,
-            out_dir=None) -> PresetResult:
-    expected_v = preset.expected_v if expected_v is None else expected_v
-    if (acc.n, acc.K) != (preset.expected_n, preset.K) or acc.v != expected_v:
-        raise PresetError(
-            f"{preset.name} produced (v={acc.v}, n={acc.n}, K={acc.K}), "
-            f"expected (v={expected_v}, n={preset.expected_n}, K={preset.K})")
+            notes: list[str], out_dir=None) -> PresetResult:
+    want = (preset.expected_v, preset.expected_n, preset.K)
+    if (acc.v, acc.n, acc.K) != want:
+        raise PresetError(f"{preset.name} produced (v, n, K) = "
+                          f"{(acc.v, acc.n, acc.K)}, expected {want}")
     if not cert.certified:
         raise PresetError(f"{preset.name} finished uncertified")
     comparison = None
@@ -119,7 +98,7 @@ def _finish(preset: PipelinePreset, acc: AndAcc, cert: Certificate,
         "K": acc.K,
         "expected": {"v": preset.expected_v, "n": preset.expected_n,
                      "K": preset.K},
-        "expected_attained": acc.v == preset.expected_v,
+        "expected_attained": True,  # checked above
         "certified": cert.certified,
         "conditions": [e.to_json_dict() for e in cert.entries],
         "comparison": comparison,
@@ -154,7 +133,7 @@ def _run_example1(preset, fixtures):
              params={"subfamily": "members 0..8"})
     notes = ["output family is union-distinct but not cover-free; "
              "only its leading nine members are"]
-    return acc, cert, notes, None
+    return acc, cert, notes
 
 
 def _run_example2(preset, fixtures):
@@ -173,7 +152,7 @@ def _run_example2(preset, fixtures):
              params={"d": d})
     notes = ["the distance condition fails at K=2 yet the code is "
              "2-union-distinct: the sufficient condition is not necessary"]
-    return acc, cert, notes, None
+    return acc, cert, notes
 
 
 def _run_example3(preset, fixtures):
@@ -193,12 +172,7 @@ def _run_example3(preset, fixtures):
     notes = [f"inner family: {cw.N} weight-{cw.w} words of length {q} at "
              f"distance {cw.d}",
              f"output verified over {res.checked} unions"]
-    expected_v = 3 * q
-    if expected_v != preset.expected_v:
-        notes.append(
-            f"no 83-word family of length 20 available; using length {q}, "
-            f"so v = {expected_v} instead of the nominal {preset.expected_v}")
-    return acc, cert, notes, expected_v
+    return acc, cert, notes
 
 
 def _augmented_output_checks(cert, acc, product, K):
@@ -234,24 +208,26 @@ def _run_example4(preset, fixtures):
     cert.add("output family is K-UDF", "exhaustive", res.ok,
              params={"by": "exhaustive K-CFF; no empty member"})
     notes = [f"output verified exhaustively over {res.checked} cover checks"]
-    return acc, cert, notes, None
+    return acc, cert, notes
 
 
 def _run_example5(preset, fixtures):
     b1 = import_code(fixture_path("example5_inner_code.json", fixtures))
     if b1.N != 31:
         raise PresetError(f"fixture has {b1.N} words, need exactly 31")
-    b2 = greedy_lexicode(21, 18, 13)
-    if b2.N < 1:
-        raise PresetError("no weight-13 word found")
-    b2.words = b2.words[:1]
-    f = family_from_code(b1)
-    g = family_from_code(b2)
-    gf = GF(31)
-    book = build_U(gf, 3, 7)
-    acc, cert = build_theorem2_acc(book, f, g, preset.K, cw_pair=(b1, b2))
+    # Two 13-subsets of 21 points share at least 5, more than the overlap
+    # cap 13 - 18/2 = 4, so a (21, 18, 13) code holds one word.
+    b2 = ConstantWeightCode(q=21, w=13, d=18, words=[(1 << 13) - 1])
+    book = build_U(GF(31), 3, 7)
+    acc, cert = build_theorem2_acc(book, family_from_code(b1),
+                                   family_from_code(b2), preset.K)
+    c8 = check_condition_8(b1, b2, preset.K)
+    cert.add("weight-code inequalities", "structural", c8.all_ok,
+             required=False,
+             params={"w1": b1.w, "d1": b1.d, "w2": b2.w, "d2": b2.d,
+                     **c8.to_json_dict()})
     notes = _augmented_output_checks(cert, acc, (book.m, 21), preset.K)
-    return acc, cert, notes, None
+    return acc, cert, notes
 
 
 def _run_example6(preset, fixtures):
@@ -261,16 +237,29 @@ def _run_example6(preset, fixtures):
     g = SetFamily.from_sets(Universe(9), [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]])
     acc, cert = build_theorem2_acc(book, family, g, preset.K)
     notes = _augmented_output_checks(cert, acc, (book.m, 9), preset.K)
-    return acc, cert, notes, None
+    return acc, cert, notes
 
 
-_RUNNERS = {
-    "example1": _run_example1,
-    "example2": _run_example2,
-    "example3": _run_example3,
-    "example4": _run_example4,
-    "example5": _run_example5,
-    "example6": _run_example6,
+PRESETS: dict[str, PipelinePreset] = {
+    p.name: p for p in [
+        PipelinePreset("example1", _run_example1, 2, 9, 12, None,
+                       "twelve-set family over a 9-element universe via "
+                       "concatenation of the canonical twelve-row codebook"),
+        PipelinePreset("example2", _run_example2, 2, 9, 12, None,
+                       "same code built from the stacked array over GF(3)"),
+        PipelinePreset("example3", _run_example3, 2, 60, 6972, (249, 6889),
+                       "stacked array over GF(83) concatenated with an "
+                       "83-member weight-5 family"),
+        PipelinePreset("example4", _run_example4, 3, 49, 357, (49, 343),
+                       "strength-3 array over GF(7) with singletons, "
+                       "augmented by two 4-element sets"),
+        PipelinePreset("example5", _run_example5, 3, 147, 29798, (217, 29791),
+                       "strength-3 array over GF(31) with a 31-member "
+                       "weight-4 family, augmented by one 13-element set"),
+        PipelinePreset("example6", _run_example6, 4, 81, 747, (81, 729),
+                       "strength-3 array over GF(9) with singletons, "
+                       "augmented by two 5-element sets"),
+    ]
 }
 
 
@@ -279,8 +268,8 @@ def run_preset(name: str, fixtures=None, out_dir=None) -> PresetResult:
     if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
     preset = PRESETS[name]
-    acc, cert, notes, expected_v = _RUNNERS[name](preset, fixtures)
-    return _finish(preset, acc, cert, notes, expected_v, out_dir)
+    acc, cert, notes = preset.runner(preset, fixtures)
+    return _finish(preset, acc, cert, notes, out_dir)
 
 
 def format_summary(summary: dict) -> str:

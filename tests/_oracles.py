@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the library's
 verifiers.  These deliberately share no code with the implementations they
 check: unions are compared pairwise over explicitly enumerated index sets,
-covers are tested straight from the definition, and extension-field
+covers and traced coalitions are tested straight from the definition, and extension-field
 arithmetic is recomputed from coefficient vectors.  The greedy lexicode
 and the sampler's index-set draw are kept here in their first, row-by-row
 form, as references for the vectorised kernels, the codebook walk in its
@@ -98,6 +98,22 @@ def naive_root_refuted(members, K, targets, product=None):
             refuted = refuted or sum(1 for hb in blocks if hb) > K * heavy
         out.append(refuted)
     return out
+
+
+def naive_trace(codewords, v, bits, K):
+    """Coalition tracing from its definition: the candidates are the users
+    whose codeword holds every 1 of the fingerprint, and the match is the
+    least (|J|, J) over all sets J of at most K users whose AND equals the
+    fingerprint.  Returns (match or None, candidates)."""
+    candidates = tuple(j for j, c in enumerate(codewords) if c & bits == bits)
+    matches = []
+    for J in all_index_subsets(len(codewords), K):
+        acc_bits = (1 << v) - 1
+        for j in J:
+            acc_bits &= codewords[j]
+        if acc_bits == bits:
+            matches.append((len(J), J))
+    return (min(matches)[1] if matches else None), candidates
 
 
 def naive_oa(rows, s, t):

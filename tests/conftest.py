@@ -1,7 +1,11 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from acckit import cli, cwcodes, presets
 from acckit.arrays import CodeBook
 from acckit.families import SetFamily, Universe
 
@@ -38,3 +42,40 @@ def example1_family() -> SetFamily:
 @pytest.fixture
 def singleton_family3() -> SetFamily:
     return SetFamily.from_sets(Universe(3), [[l] for l in range(3)])
+
+
+def _no_lexicode_scan(*args, **kwargs):
+    raise AssertionError("a preset ran the greedy lexicode scan")
+
+
+@pytest.fixture(scope="session")
+def preset_run(tmp_path_factory):
+    """`acckit preset run NAME --json --out-dir DIR` in process, once per
+    preset and session: returns (PresetResult, stdout, DIR).  The greedy
+    lexicode scan raises during the run, since every preset states its
+    codes."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            out_dir = tmp_path_factory.mktemp(name)
+            results = []
+            real_run = presets.run_preset
+
+            def recording_run(*args, **kwargs):
+                results.append(real_run(*args, **kwargs))
+                return results[-1]
+
+            with pytest.MonkeyPatch.context() as mp, \
+                    contextlib.redirect_stdout(io.StringIO()) as stdout:
+                # the scan, and any name the presets module binds it to
+                for module in (cwcodes, presets):
+                    mp.setattr(module, "greedy_lexicode", _no_lexicode_scan,
+                               raising=False)
+                mp.setattr(presets, "run_preset", recording_run)
+                code = cli.main(["preset", "run", name, "--json",
+                                 "--out-dir", str(out_dir)])
+            assert code == 0
+            runs[name] = (results[0], stdout.getvalue(), out_dir)
+        return runs[name]
+    return run

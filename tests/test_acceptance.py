@@ -150,9 +150,9 @@ def test_criterion_05_full_scale_augmentation_exhaustive():
                         f"10^6 sampled cover checks in {sampled_elapsed:.1f}s")
 
 
-def test_criterion_06_large_augmentation():
+def test_criterion_06_large_augmentation(preset_run):
     t0 = time.monotonic()
-    result = run_preset("example5")
+    result, _, _ = preset_run("example5")  # shared with the byte pins
     acc = result.acc
     assert (acc.v, acc.n, acc.K) == (147, 29798, 3)
     assert acc.n == 29791 + 7 * 1
@@ -184,9 +184,9 @@ def test_criterion_06_large_augmentation():
                         "10^6 samples clean")
 
 
-def test_criterion_07_resilience_four():
+def test_criterion_07_resilience_four(preset_run):
     t0 = time.monotonic()
-    result = run_preset("example6")
+    result, _, _ = preset_run("example6")  # shared with the byte pins
     acc = result.acc
     assert (acc.v, acc.n, acc.K) == (81, 747, 4)
     assert acc.n == 729 + 9 * 2

@@ -1,9 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from acckit import cli
+from acckit import arrays, cli
 from acckit.cli import main
+from acckit.gf import GF
 
 from _oracles import poly_field_add, poly_field_mul
 
@@ -63,6 +70,57 @@ def test_oversized_field_specs_exit_2(tmp_path, monkeypatch, capsys, spec, comma
     code, _, err = run_cli(capsys, *FIELD_COMMANDS[command], "--field", spec)
     assert code == 2 and "2^16 cap" in err
     assert not (tmp_path / "u.json").exists()
+
+
+# commands whose array alone would take 3.5 GiB or more
+OVERSIZED_ARRAYS = [
+    ["oa", "build", "--field", "83", "--t", "4", "--m", "10"],
+    ["oa", "build", "--field", "65521", "--t", "2", "--m", "3"],
+    ["oa", "lemma1", "--field", "65521", "--t", "2", "--m", "3"],
+    ["field", "table", "--field", "65521"],
+]
+
+
+def _limit_address_space():
+    # in the child only: 1 GiB, so an array the cap misses fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_ARRAYS, ids=" ".join)
+def test_oversized_arrays_exit_2_before_building(tmp_path, argv):
+    if argv[:2] == ["oa", "build"]:
+        argv = [*argv, "--out", "u.json"]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "acckit.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=20,
+                          preexec_fn=_limit_address_space)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 2, proc.stderr
+    assert f"past the cap of {cli.MAX_CELLS} cells" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+    assert not (tmp_path / "u.json").exists()
+
+
+def test_array_cap_admits_w_over_gf1024(tmp_path, monkeypatch, capsys):
+    # 1,049,600 rows x 3 = 3,148,800 cells is under the cap; the build
+    # itself takes seconds, so a small W stands in for it
+    built = []
+    small = arrays.build_W(GF(3), 2, 3)
+
+    def small_w(gf, t, m):
+        built.append((gf.s, t, m))
+        return small
+
+    monkeypatch.setattr(arrays, "build_W", small_w)
+    out = tmp_path / "w.json"
+    code, _, _ = run_cli(capsys, "oa", "build", "--which", "W", "--t", "2",
+                         "--m", "3", "--field", "2^10:1,0,0,1,0,0,0,0,0,0,1",
+                         "--out", str(out))
+    assert code == 0 and built == [(1024, 2, 3)] and out.exists()
 
 
 def test_oa_build_check_distance(tmp_path, capsys):

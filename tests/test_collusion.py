@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from acckit.accs import acc_to_family, build_theorem1_acc
+from _oracles import naive_trace
+from acckit.accs import AndAcc, acc_to_family, build_theorem1_acc
+from acckit.arrays import build_W
 from acckit.cli import main
 from acckit.collusion import (CollusionError, Fingerprint, and_attack,
                               scan_remark6, trace)
+from acckit.families import Witness, replay_witness
 from acckit.gf import GF
 
 
@@ -99,6 +103,48 @@ def test_trace_length_mismatch(example1_acc):
         trace(example1_acc, Fingerprint(v=8, bits=0))
 
 
+@st.composite
+def trace_instances(draw):
+    """A small code with repeated and all-ones codewords likely, a search
+    bound K, and an honest (at most K users), oversized (more than K),
+    all-ones or random fingerprint."""
+    v = draw(st.integers(1, 5))
+    full = (1 << v) - 1
+    codewords = draw(st.lists(st.just(full) | st.integers(0, full),
+                              min_size=1, max_size=8))
+    n = len(codewords)
+    if n > 1 and draw(st.booleans()):
+        codewords[draw(st.integers(1, n - 1))] = codewords[0]
+    K = draw(st.integers(1, 4))
+    acc = AndAcc(v=v, n=n, K=K, codewords=codewords)
+    users = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["honest", "oversized", "all-ones", "random"]))
+    if kind == "honest":
+        bits = and_attack(acc, draw(st.sets(users, min_size=1,
+                                            max_size=K))).bits
+    elif kind == "oversized" and n > K:
+        bits = and_attack(acc, draw(st.sets(users, min_size=K + 1))).bits
+    elif kind == "all-ones":
+        bits = full
+    else:
+        bits = draw(st.integers(0, full))
+    return acc, Fingerprint(v=v, bits=bits), K
+
+
+@given(trace_instances())
+def test_trace_matches_naive_oracle(instance):
+    acc, fp, K = instance
+    res = trace(acc, fp, K=K)
+    match, candidates = naive_trace(acc.codewords, acc.v, fp.bits, K)
+    assert res.candidates == candidates
+    assert res.found == (match is not None)
+    assert res.users == match
+    # a larger coalition inside the candidates gives the same AND exactly
+    # when some candidate lies outside the match
+    assert res.superset_consistent == (
+        match is not None and any(j not in match for j in candidates))
+
+
 def test_fingerprint_bitstring_roundtrip():
     fp = Fingerprint.from_bitstring("0110010")
     assert fp.v == 7
@@ -149,6 +195,17 @@ def test_scan_refuses_k2_past_the_packed_budget(capsys):
     assert main(["scan-remark6", "--field", "211", "--t", "2", "--m", "3",
                  "--K", "2"]) == 2
     assert "use mode='sampled'" in capsys.readouterr().err
+
+
+def test_remark6_sampling_misses_a_union_collision_of_w7():
+    # W over GF(7), t = 3, m = 7 (392 rows) meets every precondition of
+    # scan_remark6 at K = 3, and 10^6 samples report it union-distinct,
+    # yet these two index sets have equal symbol sets at all 7 coordinates
+    book = build_W(GF(7), 3, 7)
+    j1, j2 = (0, 108, 383), (52, 54, 385)
+    assert replay_witness(book, Witness("duplicate-symbol-set", j1, j2))
+    for i in range(book.m):
+        assert set(book.rows[list(j1), i]) == set(book.rows[list(j2), i])
 
 
 def test_scan_bounds_and_preconditions():

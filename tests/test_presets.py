@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from acckit.presets import (PRESETS, FixtureMissing, format_summary,
-                            run_preset)
+from acckit.presets import (PRESETS, FixtureMissing, PresetError,
+                            format_summary, run_preset)
 
 
 def test_registry_expectations():
@@ -44,7 +45,6 @@ def test_example2():
 
 
 def test_unknown_preset():
-    from acckit.presets import PresetError
     with pytest.raises(PresetError):
         run_preset("example7")
 
@@ -84,18 +84,63 @@ def test_fixture_regeneration_matches_shipped_files(tmp_path):
     assert result.summary["certified"]
 
 
-def test_example3_fallback_inner_family(tmp_path):
-    # if the committed inner family is replaced by one over a longer
-    # universe, the pipeline still fully verifies and reports the larger v
+def test_example3_refuses_an_inner_family_over_a_longer_universe(tmp_path):
+    # an 83-word inner code of length 21 gives v = 63, not the table's 60:
+    # the preset refuses it rather than certify a code of other parameters
     from acckit.cwcodes import ConstantWeightCode, export_code, greedy_lexicode
     big = greedy_lexicode(21, 6, 5)  # reaches 85 words deterministically
     assert big.N >= 83
     code = ConstantWeightCode(21, 5, 6, big.words[:83])
     export_code(code, tmp_path / "example3_inner_code.json")
-    result = run_preset("example3", fixtures=tmp_path)
-    assert (result.acc.v, result.acc.n, result.acc.K) == (63, 6972, 2)
-    assert not result.summary["expected_attained"]
-    assert any("instead of the nominal" in note
-               for note in result.summary["notes"])
-    by_name = {e["name"]: e for e in result.summary["conditions"]}
-    assert by_name["output family is K-UDF"]["result"]
+    with pytest.raises(PresetError,
+                       match=r"example3 produced \(v, n, K\) = \(63, 6972, 2\), "
+                             r"expected \(60, 6972, 2\)"):
+        run_preset("example3", fixtures=tmp_path)
+
+
+# sha256 of the three files `preset run NAME --json --out-dir DIR` writes;
+# its stdout holds the summary file's bytes.  Any change to these bytes
+# updates a pin here and says why in CHANGES.md.
+PRESET_SHA256 = {
+    "example1": {
+        "acc": "010ce5872d0ee1a6ecfcae02c5f2ac663a789b538c284c4ec2675c5cb314bdd7",
+        "certificate": "76f84711f41f1d3d769405ec1d0159715061af322860ae6d5b4595d5e3b4802c",
+        "summary": "cf0adf39e787ca49796f217a93660591778cf2f20db5a0bf8ba49e9da3fd234b",
+    },
+    "example2": {
+        "acc": "c12db2593f5b21df8193ab22417933bf39daea80bd1a016e24a36156da964c1a",
+        "certificate": "66033ae01a16f6b1dccd459e823b471c32766667dc13d71a110324e20e723d08",
+        "summary": "64b18e1b2aea31bbe573201ef422405335138600e626777b78f0f94a4ae49eff",
+    },
+    "example3": {
+        "acc": "fb494088719f3222be428eda1f464d4ebeb44f535225a94c9c782a2a8802a922",
+        "certificate": "b0ad64eb11866e33f72d4a1847ad92808a3083088a84418bcc99ab44843a14f4",
+        "summary": "b8805146c0e61e0b7e8814c1d09f13ed7965a8a52742f1d0726721ecf5f42c10",
+    },
+    "example4": {
+        "acc": "0a64bae1b17084bd95f308d42f03ce00b3da1ed831a9448e68b66173fd44275c",
+        "certificate": "0c2fba1a93ea4327fc71475662d85b46c0292a0a58dce5058ee4c62367c310ac",
+        "summary": "d18cb76770aee33c8437d46b8b3b3c4673bf3d0e514c5ee84d1bd176144c5780",
+    },
+    "example5": {
+        "acc": "2cb66dd8e7157f2807704fadecba499f0a60ad890dc2cc6dfbf46a0d807bc245",
+        "certificate": "412701cb88cd14c26bc5137b09066c60ed22593deafb8fb50f9e7ab0bf5e8e9a",
+        "summary": "cc828a99a21eb311257d415393d68f2335961ce09dc5eb109eb9bb3222cb6c45",
+    },
+    "example6": {
+        "acc": "926d5a2f079e297b2fe21b103e415356413babe2ccb3ab05ffa82193d0586d34",
+        "certificate": "99b2a3dcb2e3e6a7042cd59528aab2f1aaa2683e42ca8c108987e57a3e020528",
+        "summary": "2362d6272fc9a3f36a91ca20d844f3862a2448813e3c6b072697ebfe95699bb2",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+def test_preset_output_bytes_are_pinned(preset_run, name):
+    # the run goes through the CLI with the greedy lexicode scan patched to
+    # raise (see conftest), so it also shows that no preset needs the scan
+    _, stdout, out_dir = preset_run(name)
+    for kind, digest in PRESET_SHA256[name].items():
+        data = (out_dir / f"{name}_{kind}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, kind
+    assert stdout.encode() == (out_dir / f"{name}_summary.json").read_bytes()
