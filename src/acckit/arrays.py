@@ -58,17 +58,14 @@ class CodeBook:
     def M(self) -> int:
         return self.rows.shape[0]
 
-    def row_tuples(self) -> list[tuple[int, ...]]:
-        return [tuple(int(x) for x in r) for r in self.rows]
-
     def row_set(self) -> set[tuple[int, ...]]:
-        return set(self.row_tuples())
+        return set(map(tuple, self.rows.tolist()))
 
     def to_json_dict(self) -> dict:
         d = {
             "s": self.s,
             "m": self.m,
-            "rows": [[int(x) for x in r] for r in self.rows],
+            "rows": self.rows.tolist(),
             "provenance": self.provenance,
         }
         if self.t is not None:
@@ -262,10 +259,7 @@ def min_distance(book: CodeBook) -> int:
         raise ParameterError("min_distance needs at least 2 rows")
     if book.provenance == "U" and provenance_holds(book):
         weights = (book.rows != 0).sum(axis=1)
-        nz = weights[weights > 0]
-        if len(nz) == 0:
-            return 0
-        return int(nz.min())
+        return int(weights[weights > 0].min())
     return book.m - _max_coincidences(book.rows, None, book.m)[0]
 
 

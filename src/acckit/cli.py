@@ -29,6 +29,9 @@ PASS, FAIL, USAGE = 0, 1, 2
 # Most cells `oa build`, `oa lemma1` or `field table` builds: at the cap a
 # command takes about 0.3-0.5 GB and 5-10 s.
 MAX_CELLS = 1 << 22
+# Most row pairs `oa lemma1` scans: W over GF(107) at t = 2, m = 107, the
+# widest W under the cap, takes about 11 s.
+MAX_PAIRS = 1 << 26
 
 
 def _emit(obj, as_json: bool, text: str | None = None) -> None:
@@ -45,11 +48,14 @@ def _check_cells(rows: int, cols: int, what: str) -> None:
                          f"of {MAX_CELLS} cells")
 
 
-def _check_array_cells(which: str, gf, t: int, m: int) -> None:
-    # outside 2 <= t <= m <= s the builders refuse the parameters themselves
-    if 2 <= t <= m <= gf.s:
-        _check_cells(arrays.array_rows(which, gf.s, t), m,
-                     f"{which} over GF({gf.s}) at t = {t}, m = {m}")
+def _check_array_cells(which: str, gf, t: int, m: int) -> int:
+    """Refuse the array past MAX_CELLS; return its row count, or 0 outside
+    2 <= t <= m <= s, where the builders refuse the parameters themselves."""
+    if not 2 <= t <= m <= gf.s:
+        return 0
+    rows = arrays.array_rows(which, gf.s, t)
+    _check_cells(rows, m, f"{which} over GF({gf.s}) at t = {t}, m = {m}")
+    return rows
 
 
 def _parse_indices(text: str, base: int = 0) -> list[int]:
@@ -109,8 +115,7 @@ def cmd_oa_build(args) -> int:
     builder = {"U": arrays.build_U, "V": arrays.build_V, "W": arrays.build_W}
     book = builder[args.which](gf, args.t, args.m)
     arrays.save_codebook(book, args.out)
-    _emit(book.to_json_dict() if args.verbose else
-          {"rows": book.M, "m": book.m, "s": book.s, "out": args.out},
+    _emit({"rows": book.M, "m": book.m, "s": book.s, "out": args.out},
           args.json, f"wrote {args.which}: {book.M} x {book.m} over "
                      f"GF({book.s}) -> {args.out}")
     return PASS
@@ -136,7 +141,11 @@ def cmd_oa_distance(args) -> int:
 
 def cmd_oa_lemma1(args) -> int:
     gf = parse_field(args.field)
-    _check_array_cells("W", gf, args.t, args.m)  # it builds U and V: W's rows
+    # it builds U and V, W's rows, and compares every pair of them
+    rows = _check_array_cells("W", gf, args.t, args.m)
+    if (pairs := rows * (rows - 1) // 2) > MAX_PAIRS:
+        raise ValueError(f"W over GF({gf.s}) at t = {args.t} has {pairs} row "
+                         f"pairs, past the cap of {MAX_PAIRS} row pairs")
     report = arrays.check_lemma1_bounds(gf, args.t, args.m)
     _emit(report.to_json_dict(), args.json,
           f"coincidence maxima (U-U, V-V, U-V) = "
@@ -302,14 +311,13 @@ def cmd_trace(args) -> int:
         raise ValueError("provide --fp or --fp-file")
     res = collusion.trace(acc, fp, K=args.K)
     payload = res.to_json_dict()
+    payload["candidates"] = [j + 1 for j in res.candidates]
     if res.found:
         payload["users"] = [j + 1 for j in res.users]
-        payload["candidates"] = [j + 1 for j in res.candidates]
         note = " (supersets also consistent)" if res.superset_consistent else ""
         _emit(payload, args.json,
               "coalition: " + ",".join(str(j + 1) for j in res.users) + note)
         return PASS
-    payload["candidates"] = [j + 1 for j in res.candidates]
     _emit(payload, args.json, f"no match: {res.reason}")
     return FAIL
 
@@ -368,6 +376,14 @@ def _add_common(sp, func, seed=False):
     sp.set_defaults(func=func)
 
 
+def _parent(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring each name once, as a required option."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        parent.add_argument(name, required=True, **kwargs)
+    return parent
+
+
 def _add_verify_args(sp, func, K_required):
     """Arguments shared by `family verify` and `acc verify`."""
     sp.add_argument("--prop", choices=["udf", "cff"], required=True)
@@ -385,52 +401,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="anti-collusion fingerprinting codes: construction, "
                     "verification, and attack simulation")
     sub = parser.add_subparsers(dest="command", required=True)
+    field = _parent("--field", help="p, p^e, or p^e:c0,c1,...,ce")
+    strength = _parent("--t", type=int)
+    array = [field, strength, _parent("--m", type=int)]
+    weight_code = [_parent("--q", "--d", "--w", type=int)]
 
     p = sub.add_parser("field", help="finite field inspection")
     fsub = p.add_subparsers(dest="subcommand", required=True)
-    q = fsub.add_parser("elements")
-    q.add_argument("--field", required=True,
-                   help="p, p^e, or p^e:c0,c1,...,ce")
+    q = fsub.add_parser("elements", parents=[field])
     _add_common(q, cmd_field_elements)
-    q = fsub.add_parser("table")
-    q.add_argument("--field", required=True)
+    q = fsub.add_parser("table", parents=[field])
     _add_common(q, cmd_field_table)
 
     p = sub.add_parser("oa", help="row arrays over a field")
     osub = p.add_subparsers(dest="subcommand", required=True)
-    q = osub.add_parser("build")
-    q.add_argument("--field", required=True)
-    q.add_argument("--t", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
+    q = osub.add_parser("build", parents=array)
     q.add_argument("--which", choices=["U", "V", "W"], default="U")
     q.add_argument("--out", required=True)
-    q.add_argument("--verbose", action="store_true")
     _add_common(q, cmd_oa_build)
-    q = osub.add_parser("check")
+    q = osub.add_parser("check", parents=[strength])
     q.add_argument("--book", required=True)
-    q.add_argument("--t", type=int, required=True)
     _add_common(q, cmd_oa_check)
     q = osub.add_parser("distance")
     q.add_argument("--book", required=True)
     _add_common(q, cmd_oa_distance)
-    q = osub.add_parser("lemma1")
-    q.add_argument("--field", required=True)
-    q.add_argument("--t", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
+    q = osub.add_parser("lemma1", parents=array)
     _add_common(q, cmd_oa_lemma1)
 
     p = sub.add_parser("cw", help="constant-weight binary codes")
     csub = p.add_subparsers(dest="subcommand", required=True)
-    q = csub.add_parser("gen")
-    q.add_argument("--q", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--w", type=int, required=True)
+    q = csub.add_parser("gen", parents=weight_code)
     q.add_argument("--out")
     _add_common(q, cmd_cw_gen)
-    q = csub.add_parser("search")
-    q.add_argument("--q", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--w", type=int, required=True)
+    q = csub.add_parser("search", parents=weight_code)
     q.add_argument("--target-n", type=int, required=True)
     q.add_argument("--budget", type=int, default=200_000)
     q.add_argument("--out")
@@ -494,12 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int)
     _add_common(p, cmd_trace)
 
-    p = sub.add_parser("scan-remark6",
+    p = sub.add_parser("scan-remark6", parents=array,
                        help="empirical union-distinctness scan of the "
                             "stacked array beyond K = 2")
-    p.add_argument("--field", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive", "sampled"],
                    default="exhaustive")

@@ -119,6 +119,15 @@ def _check_params(q: int, d: int, w: int) -> int:
 
 # Candidate words per block of the greedy lexicode scan.
 _LEXICODE_BLOCK = 1 << 14
+# Caps on the scan's candidates C(q, w), and on candidates times the most
+# words it can keep.  Near either cap a scan takes up to about 10 s:
+# (19, 2, 7) keeps all its 50,388 candidates, 2.5 * 10^9 checks, in 9 s
+# on a 2-vCPU host.
+MAX_LEXICODE_CANDIDATES = 10**8
+MAX_LEXICODE_CHECKS = 3 * 10**9
+# Most words a search pool holds: its clash lists grow as the square, and
+# a pool at the cap takes about 8 s and 0.56 GB at budget 10 (2-vCPU host).
+MAX_SEARCH_POOL = 1 << 13
 
 
 def greedy_lexicode(q: int, d: int, w: int) -> ConstantWeightCode:
@@ -131,10 +140,22 @@ def greedy_lexicode(q: int, d: int, w: int) -> ConstantWeightCode:
     lanes.  A block is first cut down to the candidates that overlap every
     kept word in at most w - d/2 places; then its first surviving
     candidate is kept and the rest are cut against it, until none is left.
-    Memory is bounded by a few blocks, not by C(q, w).
+    Memory is bounded by a few blocks, not by C(q, w); past either
+    lexicode cap the scan is refused before it starts.
     """
     d = _check_params(q, d, w)
     max_overlap = w - d // 2
+    candidates = comb(q, w)
+    if candidates > MAX_LEXICODE_CANDIDATES:
+        raise CodeError(f"C({q}, {w}) = {candidates} candidate words, past "
+                        f"the cap of {MAX_LEXICODE_CANDIDATES} candidates")
+    # no t-subset, t = max_overlap + 1, lies in two kept words, so at most
+    # C(q, t) / C(w, t) words are kept (all C(q, w) when t > w)
+    t = min(max_overlap + 1, w)
+    if (checks := candidates * (comb(q, t) // comb(w, t))) > MAX_LEXICODE_CHECKS:
+        raise CodeError(f"the scan of C({q}, {w}) candidates could take "
+                        f"{checks} checks, past the cap of "
+                        f"{MAX_LEXICODE_CHECKS} checks")
     kept: list[np.ndarray] = []
     for block in _lex_blocks(q, w):
         alive = np.arange(len(block))
@@ -214,8 +235,9 @@ def stochastic_search(q: int, d: int, w: int, target_n: int,
     re-verified before return.  Reproducible for a given (seed, budget).
     """
     d = _check_params(q, d, w)
-    if target_n < 1:
-        raise CodeError("target_n must be positive")
+    if not 1 <= target_n <= MAX_SEARCH_POOL:
+        raise CodeError(f"target_n must lie in 1..{MAX_SEARCH_POOL}, the "
+                        f"cap on the pool, got {target_n}")
     rng = random.Random(seed)
     max_overlap = w - d // 2
 

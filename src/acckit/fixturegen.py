@@ -92,24 +92,17 @@ def cyclic_weight5_code() -> list[int]:
                 adj[i].add(j)
                 adj[j].add(i)
 
-    quad = None
-    for a in range(nc):
-        for b in sorted(adj[a]):
-            if b <= a:
-                continue
-            ab = adj[a] & adj[b]
-            for c in sorted(ab):
-                if c <= b:
-                    continue
-                rest = ab & adj[c]
-                ds = [d for d in sorted(rest) if d > c]
-                if ds:
-                    quad = (a, b, c, ds[0])
-                    break
-            if quad:
-                break
-        if quad:
-            break
+    def first_clique(size: int, pool: set[int]) -> tuple[int, ...] | None:
+        """The lex-first `size` mutually compatible candidates in pool."""
+        if size == 0:
+            return ()
+        for c in sorted(pool):
+            rest = first_clique(size - 1, {x for x in pool & adj[c] if x > c})
+            if rest is not None:
+                return (c, *rest)
+        return None
+
+    quad = first_clique(4, set(range(nc)))
     if quad is None:
         raise RuntimeError("cyclic quadruple search failed")
 

@@ -160,27 +160,24 @@ def _run_example3(preset, fixtures):
     if cw.N != 83:
         raise PresetError(f"fixture has {cw.N} words, need exactly 83")
     family = family_from_code(cw)
-    q = cw.q
     gf = GF(83)
     book = build_W(gf, 2, 3)
     acc, cert = build_theorem1_acc(book, family, preset.K, mode="structural")
-    out_family = acc_to_family(acc, product=(book.m, q))
-    res = is_k_udf(out_family, preset.K)
+    res = is_k_udf(acc_to_family(acc), preset.K)
     cert.add("output family is K-UDF", "exhaustive", res.ok,
              params={"checked": res.checked, "unions": res.checked},
              witness=res.witness)
-    notes = [f"inner family: {cw.N} weight-{cw.w} words of length {q} at "
+    notes = [f"inner family: {cw.N} weight-{cw.w} words of length {cw.q} at "
              f"distance {cw.d}",
              f"output verified over {res.checked} unions"]
     return acc, cert, notes
 
 
-def _augmented_output_checks(cert, acc, product, K):
+def _augmented_output_checks(cert, acc, K):
     """Add the structural and sampled output entries; return the note why."""
-    out_family = acc_to_family(acc, product=product)
     cert.add("output family is K-CFF", "structural", True,
              params={"by": "augmentation hypotheses verified above"})
-    srep = sample_udf(out_family, K, SAMPLE_TRIALS, seed=SAMPLE_SEED)
+    srep = sample_udf(acc_to_family(acc), K, SAMPLE_TRIALS, seed=SAMPLE_SEED)
     cert.add("output family union-distinct (sampled)", "sampled", srep.ok,
              required=False,
              params={"trials": srep.trials, "violations": srep.violations,
@@ -200,7 +197,7 @@ def _run_example4(preset, fixtures):
     acc, cert = build_theorem2_acc(book, family, g, preset.K)
     cert.add("rows form a strength-3 orthogonal array", "exhaustive", oa.ok,
              required=False)
-    res = is_k_cff(acc_to_family(acc, product=(book.m, 7)), preset.K)
+    res = is_k_cff(acc_to_family(acc), preset.K)
     cert.add("output family is K-CFF", "exhaustive", res.ok,
              params={"checked": res.checked}, witness=res.witness)
     # Equal unions of A != B (both of size <= K) put a member of one inside
@@ -226,7 +223,7 @@ def _run_example5(preset, fixtures):
              required=False,
              params={"w1": b1.w, "d1": b1.d, "w2": b2.w, "d2": b2.d,
                      **c8.to_json_dict()})
-    notes = _augmented_output_checks(cert, acc, (book.m, 21), preset.K)
+    notes = _augmented_output_checks(cert, acc, preset.K)
     return acc, cert, notes
 
 
@@ -236,7 +233,7 @@ def _run_example6(preset, fixtures):
     family = _singleton_family(9)
     g = SetFamily.from_sets(Universe(9), [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]])
     acc, cert = build_theorem2_acc(book, family, g, preset.K)
-    notes = _augmented_output_checks(cert, acc, (book.m, 9), preset.K)
+    notes = _augmented_output_checks(cert, acc, preset.K)
     return acc, cert, notes
 
 

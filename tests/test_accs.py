@@ -83,7 +83,7 @@ def test_build_h0_matches_naive_oracle(case):
     book, fam = case
     q = fam.universe.v
     h0 = build_h0(book, fam)
-    assert h0.members == naive_h0(book.row_tuples(), fam.members, q)
+    assert h0.members == naive_h0(book.rows.tolist(), fam.members, q)
     assert h0.universe.v == book.m * q
     assert h0.universe.product == (book.m, q)
 
@@ -279,6 +279,14 @@ def test_compare_prior_examples():
 
     small = AndAcc(v=10, n=5, K=2, codewords=[0] * 5)
     assert not compare_prior(small, 10, 5).exceeds_bib_bound
+
+
+def test_prior_comparison_summary_names_each_direction():
+    acc = AndAcc(v=49, n=357, K=3, codewords=[0] * 357)
+    for prior, text in (((49, 357), "same n, same v"),
+                        ((40, 400), "smaller n (-43), larger v (+9)"),
+                        ((60, 300), "larger n (+57), smaller v (-11)")):
+        assert compare_prior(acc, *prior).summary() == text
 
 
 def test_acc_json_roundtrip(tmp_path, example1_family):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, strategies as st
 
+from acckit import arrays
 from acckit.arrays import (CodeBook, ParameterError, build_U, build_V, build_W,
                            check_lemma1_bounds, load_codebook, min_distance,
                            provenance_holds, rho, save_codebook, verify_oa)
@@ -221,6 +222,26 @@ def test_lemma1_bounds_strength3():
     assert rep.bounds == (2, 1, 3)
 
 
+def test_lemma1_reports_the_first_violation_in_class_order(monkeypatch):
+    # U over GF(3) at t = 2, m = 3 lists c0 (1,1,1) + c1 (0,1,2) with c0
+    # fastest, so rows 0, 3, 6 all start with 0 and row 4 is (1, 2, 0)
+    u = build_U(GF(3), 2, 3).rows
+    for picked, violation in (
+            # V-V (bound 0) and U-V (bound 2) both fail; V-V comes first
+            ([0, 3, 6], ("V-V", 0, 1, 1)),
+            # one V row equal to U row 4: only U-V fails
+            ([4], ("U-V", 4, 0, 3))):
+        monkeypatch.setattr(arrays, "build_V", lambda gf, t, m, rows=u[picked]:
+                            CodeBook(s=3, m=3, rows=rows))
+        rep = check_lemma1_bounds(GF(3), 2, 3)
+        assert rep.violation == violation and not rep.ok
+        cls, i, j, count = violation
+        payload = rep.to_json_dict()
+        assert payload["ok"] is False
+        assert payload["violation"] == {"pair_class": cls, "i": i, "j": j,
+                                        "coincidences": count}
+
+
 def test_max_coincidences_reports_first_pair_over_bound():
     from acckit.arrays import _max_coincidences
     a = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
@@ -262,7 +283,7 @@ def test_json_and_text_roundtrip(tmp_path, example2_book):
     p = tmp_path / "book.json"
     save_codebook(example2_book, p)
     again = load_codebook(p)
-    assert again.row_tuples() == example2_book.row_tuples()
+    assert again.rows.tolist() == example2_book.rows.tolist()
     assert again.s == 3 and again.provenance == "imported"
 
     w = build_W(GF(3), 2, 3)
@@ -276,15 +297,15 @@ def test_json_and_text_roundtrip(tmp_path, example2_book):
     p3 = tmp_path / "book.txt"
     save_codebook(example2_book, p3)
     again = load_codebook(p3)
-    assert again.row_tuples() == example2_book.row_tuples()
+    assert again.rows.tolist() == example2_book.rows.tolist()
     assert again.s == 3
 
     p4 = tmp_path / "w.txt"
     save_codebook(w, p4)
     assert p4.read_text() == "".join(
-        " ".join(str(x) for x in row) + "\n" for row in w.row_tuples())
+        " ".join(str(x) for x in row) + "\n" for row in w.rows.tolist())
     again = load_codebook(p4)
-    assert again.row_tuples() == w.row_tuples() and again.s == 3
+    assert again.rows.tolist() == w.rows.tolist() and again.s == 3
     assert again.provenance == "imported"
 
     bad = tmp_path / "bad.json"

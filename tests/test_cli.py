@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from acckit import arrays, cli
+from acckit import arrays, cli, cwcodes
 from acckit.cli import main
 from acckit.gf import GF
 
@@ -72,12 +72,21 @@ def test_oversized_field_specs_exit_2(tmp_path, monkeypatch, capsys, spec, comma
     assert not (tmp_path / "u.json").exists()
 
 
-# commands whose array alone would take 3.5 GiB or more
-OVERSIZED_ARRAYS = [
-    ["oa", "build", "--field", "83", "--t", "4", "--m", "10"],
-    ["oa", "build", "--field", "65521", "--t", "2", "--m", "3"],
-    ["oa", "lemma1", "--field", "65521", "--t", "2", "--m", "3"],
-    ["field", "table", "--field", "65521"],
+CELL_CAP = f"past the cap of {cli.MAX_CELLS} cells"
+# commands whose array alone would take 3.5 GiB or more, or whose scan
+# would take a minute or more, each with the cap it names as it exits
+OVERSIZED = [
+    (["oa", "build", "--field", "83", "--t", "4", "--m", "10"], CELL_CAP),
+    (["oa", "build", "--field", "65521", "--t", "2", "--m", "3"], CELL_CAP),
+    (["oa", "lemma1", "--field", "65521", "--t", "2", "--m", "3"], CELL_CAP),
+    (["field", "table", "--field", "65521"], CELL_CAP),
+    (["oa", "lemma1", "--field", "251", "--t", "2", "--m", "3"],
+     f"past the cap of {cli.MAX_PAIRS} row pairs"),
+    (["cw", "gen", "--q", "64", "--d", "2", "--w", "32"],
+     f"past the cap of {cwcodes.MAX_LEXICODE_CANDIDATES} candidates"),
+    (["cw", "search", "--q", "60", "--d", "4", "--w", "30", "--target-n",
+      "100000", "--budget", "10"],
+     f"1..{cwcodes.MAX_SEARCH_POOL}, the cap on the pool"),
 ]
 
 
@@ -86,8 +95,9 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("argv", OVERSIZED_ARRAYS, ids=" ".join)
-def test_oversized_arrays_exit_2_before_building(tmp_path, argv):
+@pytest.mark.parametrize("argv, cap", [
+    pytest.param(argv, cap, id=" ".join(argv)) for argv, cap in OVERSIZED])
+def test_oversized_arrays_exit_2_before_building(tmp_path, argv, cap):
     if argv[:2] == ["oa", "build"]:
         argv = [*argv, "--out", "u.json"]
     src = str(Path(cli.__file__).parents[1])
@@ -99,7 +109,7 @@ def test_oversized_arrays_exit_2_before_building(tmp_path, argv):
                           preexec_fn=_limit_address_space)
     elapsed = time.monotonic() - t0
     assert proc.returncode == 2, proc.stderr
-    assert f"past the cap of {cli.MAX_CELLS} cells" in proc.stderr
+    assert cap in proc.stderr
     assert "Traceback" not in proc.stderr
     assert elapsed < 1.0
     assert not (tmp_path / "u.json").exists()

@@ -171,7 +171,7 @@ def test_codebook_files_round_trip(scratch, book):
     # text rows carry neither provenance nor strength, and s is inferred
     save_codebook(book, scratch / "b.txt")
     again = load_codebook(scratch / "b.txt")
-    assert again.row_tuples() == book.row_tuples()
+    assert again.rows.tolist() == book.rows.tolist()
     assert (again.s, again.provenance, again.t) == (
         int(book.rows.max()) + 1, "imported", None)
 

@@ -103,6 +103,29 @@ def test_greedy_parameter_errors():
     assert code.d == 4
 
 
+def test_scan_caps_refuse_before_scanning():
+    # about 1.8 * 10^18 candidates
+    with pytest.raises(CodeError, match=f"cap of {cw_mod.MAX_LEXICODE_CANDIDATES} "):
+        greedy_lexicode(64, 2, 32)
+    # 3 * 10^7 candidates, of which up to C(30, 5) / C(10, 5) = 565 kept
+    with pytest.raises(CodeError, match=f"cap of {cw_mod.MAX_LEXICODE_CHECKS} "):
+        greedy_lexicode(30, 12, 10)
+    # the search's seeding scan takes the same check, and its pool its own
+    with pytest.raises(CodeError, match="candidates"):
+        stochastic_search(60, 4, 30, 10)
+    with pytest.raises(CodeError, match=f"1..{cw_mod.MAX_SEARCH_POOL}"):
+        stochastic_search(4, 2, 2, cw_mod.MAX_SEARCH_POOL + 1)
+
+
+@pytest.mark.parametrize("q, d, w", [(4, 0, 2), (10, 2, 3), (12, 4, 3),
+                                     (21, 6, 4), (20, 6, 5), (21, 18, 13)])
+def test_lexicode_keeps_at_most_the_capped_bound(q, d, w):
+    # the bound the checks cap counts on: no t-subset, t = w - d/2 + 1,
+    # lies in two kept words
+    t = min(w - d // 2 + 1, w)
+    assert greedy_lexicode(q, d, w).N <= comb(q, t) // comb(w, t)
+
+
 def test_verify_catches_defects():
     ok = ConstantWeightCode(5, 2, 2, [0b00011, 0b00101])
     assert verify_cw_code(ok).ok

@@ -698,7 +698,7 @@ def test_ud_code_matches_naive_oracle():
         book = CodeBook(s=s, m=m, rows=rows)
         for K in (1, 2, 3):
             res = is_k_ud_code(book, K)
-            ok, _ = naive_ud_code(book.row_tuples(), K)
+            ok, _ = naive_ud_code(book.rows.tolist(), K)
             assert res.ok == ok, (rows.tolist(), K)
 
 
@@ -782,7 +782,7 @@ def test_ud_code_packed_scan_matches_walk_and_oracle(book, partition):
     walk, packed, kinds = _ud_code_both_paths(book, partition)
     assert kinds == ["duplicate-symbol-set"]
     event("2-UD" if walk.ok else "duplicate symbol set")
-    assert packed.ok == walk.ok == naive_ud_code(book.row_tuples(), 2)[0]
+    assert packed.ok == walk.ok == naive_ud_code(book.rows.tolist(), 2)[0]
     assert packed.witness == walk.witness
     for res in (walk, packed):
         assert res.ok or replay_witness(book, res.witness)
@@ -869,7 +869,7 @@ def ud_codebooks(draw):
 @given(ud_codebooks())
 def test_ud_code_one_walk_matches_reference_and_oracle(case):
     book, K = case
-    rows = book.row_tuples()
+    rows = book.rows.tolist()
     ok, pair, checked = reference_ud_code_walk(rows, K)
     event("K-UD" if ok else "duplicate symbol set")
     res = is_k_ud_code(book, K)
@@ -1244,7 +1244,7 @@ def test_samplers_clean_on_certified_instances(instance, code, seed):
         assert rep.ok or replay_witness(fam, rep.witness)
     book, K = code
     rep = sample_ud_code(book, K, 300, seed)
-    if naive_ud_code(book.row_tuples(), K)[0]:
+    if naive_ud_code(book.rows.tolist(), K)[0]:
         assert rep.ok
     event("code violated" if not rep.ok else "code clean")
     assert rep.ok or replay_witness(book, rep.witness)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from acckit import families
 from acckit.presets import (PRESETS, FixtureMissing, PresetError,
                             format_summary, run_preset)
 
@@ -61,6 +62,26 @@ def test_format_summary_smoke():
     text = format_summary(result.summary)
     assert "example2: (9, 12, 2) certified" in text
     assert "[FAIL] distance condition" in text
+
+
+def test_format_summary_compares_with_the_prior(preset_run):
+    result, _, _ = preset_run("example3")
+    assert ("  vs prior (249, 6889): larger n (+83), smaller v (-189); "
+            "exceeds block-design bound: True"
+            in format_summary(result.summary).splitlines())
+
+
+def test_example4_certifies_without_the_block_bound(monkeypatch):
+    # only example1 passes its output a product universe: example4's count
+    # bound alone refutes all 357 targets, so the block bound never runs
+    def no_block_bound(*args):
+        raise AssertionError("the block bound ran")
+
+    monkeypatch.setattr(families, "_block_refuted", no_block_bound)
+    result = run_preset("example4")
+    by_name = {e["name"]: e for e in result.summary["conditions"]}
+    assert by_name["output family is K-CFF"]["result"]
+    assert result.summary["certified"]
 
 
 def test_outputs_deterministic(tmp_path):
