@@ -18,12 +18,14 @@ an uncertified code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arrays import CodeBook, min_distance, provenance_holds
 from .codec import (bits_to_str, json_int, json_list, read_json, str_to_bits,
                     write_json)
 from .families import (SetFamily, Universe, Witness, _canonical_cover_witness,
-                       distance_slack, is_k_cff, is_k_udf, is_k_ud_code)
+                       _word_columns, distance_slack, is_k_cff, is_k_udf,
+                       is_k_ud_code)
 
 MODES = ("exhaustive", "structural", "sampled")
 
@@ -101,24 +103,32 @@ def save_certificate(cert: Certificate, path) -> None:
 # The binary code itself
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AndAcc:
     """n binary codewords of length v with resilience K.  Codewords are
-    integer bitmasks; user j (1-based) sits at index j-1."""
+    integer bitmasks; user j (1-based) sits at index j-1.  Frozen, so the
+    packed view that tracing caches on it cannot go stale."""
 
     v: int
     n: int
     K: int
-    codewords: list[int]
+    codewords: tuple[int, ...]
 
     def __post_init__(self):
-        self.codewords = [int(c) for c in self.codewords]
+        object.__setattr__(self, "codewords",
+                           tuple(int(c) for c in self.codewords))
         if len(self.codewords) != self.n:
             raise ConstructionError(f"{len(self.codewords)} codewords, expected {self.n}")
         top = 1 << self.v
         for j, c in enumerate(self.codewords):
             if not 0 <= c < top:
                 raise ConstructionError(f"codeword {j} exceeds length {self.v}")
+
+    @cached_property
+    def _columns(self):
+        """The codewords as a (words, n) uint64 array, built at the code's
+        first trace and kept with it: n * ceil(v / 64) * 8 bytes."""
+        return _word_columns(self.codewords, self.v)[0]
 
     def codeword_string(self, j: int) -> str:
         return bits_to_str(self.codewords[j], self.v)

@@ -1,18 +1,23 @@
 """AND-collusion attacks, exact coalition tracing, and a conjecture scan.
 
 A coalition's fingerprint is the bitwise AND of its members' codewords.
-Tracing filters users whose codeword is 1 everywhere the fingerprint is,
-then searches the filtered set exhaustively for a coalition of size at
-most K whose AND reproduces the fingerprint; for a code certified at
-resilience K that coalition is unique.  The model is exact: no noise or
-erasure channel, and a fingerprint produced by an oversized or corrupted
-coalition yields a no-match report rather than a guess.
+Tracing keeps the users whose codeword is 1 everywhere the fingerprint is,
+in one vectorised pass over a packed (words, n) view of the codewords,
+built at the code's first trace and kept with the code: n * ceil(v/64) * 8
+bytes.  It then searches the kept users exhaustively, in index order, for
+a coalition of size at most K whose AND reproduces the fingerprint; for a
+code certified at resilience K that coalition is unique.  The model is
+exact: no noise or erasure channel, and a fingerprint produced by an
+oversized or corrupted coalition yields a no-match report rather than a
+guess.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .accs import AndAcc
 from .arrays import build_W
@@ -34,6 +39,12 @@ class Fingerprint:
     v: int
     bits: int
     coalition: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.v < 0:
+            raise CollusionError(f"fingerprint length must be >= 0, got {self.v}")
+        if not 0 <= self.bits < 1 << self.v:
+            raise CollusionError(f"fingerprint bits must lie in [0, 2^{self.v})")
 
     def bitstring(self) -> str:
         return bits_to_str(self.bits, self.v)
@@ -108,13 +119,16 @@ def trace(acc: AndAcc, fp: Fingerprint, K: int | None = None) -> TraceResult:
     if K < 1:
         raise CollusionError(f"K must be >= 1, got {K}")
     bits = fp.bits
-    candidates = tuple(j for j in range(acc.n)
-                       if acc.codewords[j] & bits == bits)
+    cols = acc._columns
+    words = np.frombuffer(bits.to_bytes(8 * len(cols), "little"), "<u8")[:, None]
+    candidates = tuple(np.flatnonzero(((cols & words) == words).all(axis=0))
+                       .tolist())
+    codewords, full = acc.codewords, (1 << acc.v) - 1
     for k in range(1, min(K, len(candidates)) + 1):
         for J in itertools.combinations(candidates, k):
-            acc_bits = (1 << acc.v) - 1
+            acc_bits = full
             for j in J:
-                acc_bits &= acc.codewords[j]
+                acc_bits &= codewords[j]
             if acc_bits == bits:
                 return TraceResult(True, users=J, candidates=candidates,
                                    superset_consistent=len(J) < len(candidates))

@@ -1,16 +1,19 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import naive_trace
-from acckit.accs import AndAcc, acc_to_family, build_theorem1_acc
-from acckit.arrays import build_W
+from acckit.accs import (AndAcc, acc_to_family, build_theorem1_acc,
+                         build_theorem2_acc, load_acc, save_acc)
+from acckit.arrays import build_U, build_W
 from acckit.cli import main
 from acckit.collusion import (CollusionError, Fingerprint, and_attack,
                               scan_remark6, trace)
-from acckit.families import Witness, replay_witness
+from acckit.families import SetFamily, Universe, Witness, replay_witness
 from acckit.gf import GF
+from acckit.presets import run_preset
 
 
 @pytest.fixture
@@ -107,11 +110,16 @@ def test_trace_length_mismatch(example1_acc):
 def trace_instances(draw):
     """A small code with repeated and all-ones codewords likely, a search
     bound K, and an honest (at most K users), oversized (more than K),
-    all-ones or random fingerprint."""
-    v = draw(st.integers(1, 5))
+    all-ones or random fingerprint.  Lengths past 64 bits span several
+    packed words."""
+    v = draw(st.integers(1, 5) | st.sampled_from([63, 64, 65, 128, 129]))
     full = (1 << v) - 1
-    codewords = draw(st.lists(st.just(full) | st.integers(0, full),
-                              min_size=1, max_size=8))
+    # each 64-bit word all ones or drawn on its own, so that a codeword can
+    # hold the fingerprint's 1s in one word and miss them in the next
+    codeword = st.tuples(*(st.just(w) | st.integers(0, w) for w in (
+        (1 << min(64, v - i)) - 1 for i in range(0, v, 64)))).map(
+        lambda ws: sum(w << 64 * i for i, w in enumerate(ws)))
+    codewords = draw(st.lists(codeword, min_size=1, max_size=8))
     n = len(codewords)
     if n > 1 and draw(st.booleans()):
         codewords[draw(st.integers(1, n - 1))] = codewords[0]
@@ -143,6 +151,52 @@ def test_trace_matches_naive_oracle(instance):
     # when some candidate lies outside the match
     assert res.superset_consistent == (
         match is not None and any(j not in match for j in candidates))
+
+
+def test_trace_view_is_built_at_the_first_trace(example2_book,
+                                                singleton_family3, tmp_path):
+    acc, _ = build_theorem1_acc(example2_book, singleton_family3, 2)
+    save_acc(acc, tmp_path / "acc.json")
+    loaded = load_acc(tmp_path / "acc.json")
+    acc_to_family(acc)
+    for code in (acc, loaded, run_preset("example4").acc):
+        assert "_columns" not in vars(code)
+    trace(acc, and_attack(acc, [0, 4]))
+    assert "_columns" in vars(acc)
+    assert "_columns" not in vars(loaded)
+    with pytest.raises(FrozenInstanceError):
+        acc.codewords = ()
+
+
+def test_example6_traces_survive_a_save_load_round_trip(tmp_path):
+    # v = 81: every codeword spans two packed words
+    acc, _ = build_theorem2_acc(
+        build_U(GF(3, 2), 3, 9),
+        SetFamily.from_sets(Universe(9), [[l] for l in range(9)]),
+        SetFamily.from_sets(Universe(9), [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]]),
+        4)
+    save_acc(acc, tmp_path / "before.json")
+    rng = random.Random(81)
+    coalitions = [tuple(sorted(rng.sample(range(acc.n), rng.randint(1, 6))))
+                  for _ in range(60)]
+    fps = [and_attack(acc, S) for S in coalitions]
+    results = [trace(acc, fp) for fp in fps]
+    for S, res in zip(coalitions, results):
+        if len(S) <= acc.K:
+            assert res.users == S
+    save_acc(acc, tmp_path / "after.json")
+    assert ((tmp_path / "after.json").read_bytes()
+            == (tmp_path / "before.json").read_bytes())
+    loaded = load_acc(tmp_path / "after.json")
+    assert loaded == acc
+    assert [trace(loaded, fp) for fp in fps] == results
+
+
+@pytest.mark.parametrize("v, bits", [(4, -1), (4, 1 << 4), (4, 1 << 70),
+                                     (-1, 0)])
+def test_fingerprint_outside_its_length_refused(v, bits):
+    with pytest.raises(CollusionError):
+        Fingerprint(v=v, bits=bits)
 
 
 def test_fingerprint_bitstring_roundtrip():
