@@ -24,7 +24,8 @@ batches of about 2^17 keys, and each batch is filled, sorted and checked
 on its own, one batch per CPU at a time, so the scan holds a few MB per
 worker rather than one array of every key.  Verdicts are identical, and
 the canonical witness is recovered by walking only the index sets whose
-key repeats.
+key repeats.  A K = 2 code check first drops the rows that agree with no
+other row on ceil(m/2) or more coordinates, which no duplicate involves.
 Cover-freeness first drops, in bulk, the targets that two exact bounds
 prove uncoverable (a count of shared elements, and on a product universe
 a count of blocks), then runs one exact kernel per remaining target over
@@ -51,6 +52,13 @@ from .codec import json_int, json_ints, json_list, read_json, write_json
 _EXHAUSTIVE_LIMIT = 5 * 10**6
 # K=2 union scans switch to the packed path beyond this member count.
 _PACKED_THRESHOLD = 512
+# The K = 2 code check cuts a book to its heavy rows when it has at least
+# this many rows per ceil(m/2)-subset of coordinates: the index then costs
+# a small share of the scan it saves, and 12-row books skip it.
+_AGREE_ROWS = 32
+# Heavy rows take the packed code scan beyond this many; below, the walk is
+# faster (about 120 rows on the heavy rows of W books).
+_HEAVY_SCAN_ROWS = 112
 # Above this many keys the packed K=2 scan is refused.  Its memory is a
 # few batches, so this bounds its time: 10^8 keys take about 1.5 s on two
 # CPUs.
@@ -223,6 +231,12 @@ class Witness:
 
 @dataclass(frozen=True)
 class VerifyResult:
+    """An exhaustive verdict, its witness on a failure, and `checked`, the
+    units the verdict stands for.  On `ok` that is every unit.  On a
+    failure a dictionary walk counts the units up to and including the
+    witness, while a packed K = 2 scan counts every unit, since it has
+    sorted them all; `is_k_cff` counts every cover check either way."""
+
     ok: bool
     witness: Witness | None = None
     checked: int = 0
@@ -678,7 +692,13 @@ def _one_hot(book: CodeBook) -> SetFamily:
 def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     """Exhaustively check that no two distinct row-index sets of size <= K
     give identical per-coordinate symbol sets: `is_k_udf` on the one-hot
-    family, except K = 2 scans of large books with base-s^2 keys < 2^63."""
+    family, except K = 2 scans of large books with base-s^2 keys < 2^63.
+
+    At K = 2 a book of at least `_AGREE_ROWS` rows per ceil(m/2)-subset of
+    coordinates is first cut to its heavy rows (`_heavy_rows`), the only
+    rows a duplicate can involve.  The heavy rows, taken in index order,
+    have the same first repeat, so the verdict and witness are the whole
+    book's; `checked` is what the scan of the whole book reports."""
     if book.M == 0:
         raise FamilyError("empty codebook")
     if K < 1:
@@ -686,10 +706,70 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     n = book.M
     total = _subset_count(n, K)
     s, m = book.s, book.m
-    pair_scan = min(K, n) == 2 and (s * s) ** m < 2**63 and n > _PACKED_THRESHOLD
+    fits = (s * s) ** m < 2**63
+    pair_scan = min(K, n) == 2 and fits and n > _PACKED_THRESHOLD
     if total > (_PACKED_LIMIT if pair_scan else _EXHAUSTIVE_LIMIT):
         raise FamilyError(f"{total} subsets exceed the exhaustive budget; "
                           "use sample_ud_code")
+    if min(K, n) != 2 or n < _AGREE_ROWS * comb(m, -(-m // 2)):
+        return _ud_code_scan(book, K, pair_scan)
+    heavy = _heavy_rows(book.rows)
+    if not len(heavy):
+        return VerifyResult(True, None, total)
+    res = _ud_code_scan(CodeBook(s, m, book.rows[heavy]), 2,
+                        pair_scan and len(heavy) > _HEAVY_SCAN_ROWS)
+    if res.ok:
+        return VerifyResult(True, None, total)
+    j1, j2 = (tuple(heavy[list(J)].tolist())
+              for J in (res.witness.j1, res.witness.j2))
+    # a packed scan of the whole book (base-s^2 keys, or the one-hot
+    # family's unions over at most 64 elements) counts every unit, the
+    # walk the units up to the witness: {a} is unit a + 1, and {a, b} is
+    # unit b - a of the last C(n - a, 2), the pairs of indices >= a
+    if n > _PACKED_THRESHOLD and (fits or _one_hot(book).universe.v <= 64):
+        checked = total
+    elif len(j2) == 1:
+        checked = j2[0] + 1
+    else:
+        checked = total - comb(n - j2[0], 2) + j2[1] - j2[0]
+    return VerifyResult(False, Witness("duplicate-symbol-set", j1, j2), checked)
+
+
+def _heavy_rows(rows: np.ndarray) -> np.ndarray:
+    """Sorted indices of the rows that agree with another row on at least
+    h = ceil(m/2) of their m coordinates.
+
+    Only heavy rows can make a K = 2 duplicate.  Two index sets of size
+    <= 2 have equal symbol sets only if two rows are equal, or if disjoint
+    pairs {i, j} and {k, l} have equal symbol sets at every coordinate;
+    then row k equals row i or row j at each coordinate, so it agrees with
+    one of them on at least h, and likewise for i, j and l.  (An index set
+    that shares a row with the one it repeats, or is a singleton, repeats
+    it only through two equal rows, whose singletons repeat first.)
+
+    Rows are grouped by their symbols on each h-subset of coordinates, and
+    rows in a group of two or more are marked.  A row's group ID (< n)
+    takes one coordinate at a time: it gains that column's symbol rank
+    (< n) in base n and is re-ranked with `np.unique`, so keys stay below
+    n^2 for any alphabet."""
+    n, m = rows.shape
+    h = -(-m // 2)
+    ranks = [np.unique(col, return_inverse=True)[1] for col in rows.T]
+    heavy = np.zeros(n, dtype=bool)
+    for cols in itertools.combinations(ranks, h):
+        ids = cols[0]
+        for col in cols[1:]:
+            ids = np.unique(ids * n + col, return_inverse=True)[1]
+        heavy |= np.bincount(ids)[ids] > 1
+        if heavy.all():
+            break
+    return np.flatnonzero(heavy)
+
+
+def _ud_code_scan(book: CodeBook, K: int, pair_scan: bool) -> VerifyResult:
+    """The exact check of `is_k_ud_code` on all of `book`: the packed
+    base-s^2 scan when `pair_scan`, else `is_k_udf` on the one-hot family."""
+    s, m = book.s, book.m
     if pair_scan:
         # each coordinate's symbol set {lo, hi} is encoded as lo*s + hi and
         # the m codes are packed base s^2 into one integer per index set.

@@ -15,6 +15,10 @@ from acckit.families import SetFamily, Universe
 settings.register_profile("acckit", derandomize=True, deadline=None,
                           max_examples=200)
 settings.load_profile("acckit")
+# The same at ten times the examples, for long differential runs outside
+# tier-1: pytest --hypothesis-profile=acckit-deep ...
+settings.register_profile("acckit-deep", settings.get_profile("acckit"),
+                          max_examples=2000)
 
 # The canonical twelve-row codebook and its twelve-set family, in matching
 # order (flattened element (i, l) -> (i-1)*3 + l).

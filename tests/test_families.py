@@ -892,6 +892,83 @@ def test_ud_code_one_walk_matches_reference_and_oracle(case):
                                   book.M + math.comb(book.M, 2))
 
 
+@st.composite
+def agreeing_codebooks(draw):
+    """Books of 2..16 rows and 1..6 coordinates over alphabets up to
+    2**40 whose rows agree often: column i draws its symbols from a pool of
+    1..16.  Rows may repeat, and a row may copy another or two rows may mix
+    two others coordinate-wise, which plants a K = 2 duplicate."""
+    m = draw(st.integers(1, 6))
+    s = draw(st.one_of(st.integers(1, 4), st.integers(2, 2**40),
+                       st.just(2**40)))
+    sizes = draw(st.lists(st.integers(1, min(s, 16)), min_size=m, max_size=m))
+    pools = [draw(st.lists(st.integers(0, s - 1), min_size=k, max_size=k,
+                           unique=True)) for k in sizes]
+    M = draw(st.integers(2, 16))
+    rows = [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(M)]
+    plant = draw(st.sampled_from(["none", "copy", "mix", "mix"]))
+    if plant == "copy":
+        a, b = draw(st.permutations(range(M)))[:2]
+        rows[b] = list(rows[a])
+    elif plant == "mix" and M >= 4:
+        a, b, c, d = draw(st.permutations(range(M)))[:4]
+        pick = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        rows[c] = [rows[b][i] if p else rows[a][i] for i, p in enumerate(pick)]
+        rows[d] = [rows[a][i] if p else rows[b][i] for i, p in enumerate(pick)]
+    event(plant)
+    return CodeBook(s=s, m=m, rows=np.array(rows, dtype=np.int64))
+
+
+def _ud_code_cut_and_whole(book, packed: bool):
+    """K = 2 results on the whole book and on its heavy rows, the latter
+    with the heavy rows' default route and with the packed scan forced on
+    them; under `packed`, the whole book's scan is forced packed too."""
+    with (forced_packed_scan() if packed else contextlib.nullcontext()), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fam_mod, "_AGREE_ROWS", 10**9)
+        whole = is_k_ud_code(book, 2)
+        mp.setattr(fam_mod, "_AGREE_ROWS", 0)
+        cut = is_k_ud_code(book, 2)
+        mp.setattr(fam_mod, "_HEAVY_SCAN_ROWS", 0)
+        cut_packed = is_k_ud_code(book, 2)
+    return whole, cut, cut_packed
+
+
+@given(agreeing_codebooks())
+def test_ud_code_heavy_row_cut_matches_whole_book_and_oracles(book):
+    rows = book.rows.tolist()
+    n, h = book.M, -(-book.m // 2)
+    heavy = fam_mod._heavy_rows(book.rows).tolist()
+    # by brute force: exactly the rows agreeing with another on >= h
+    # coordinates are heavy
+    assert heavy == [i for i in range(n) if any(
+        j != i and sum(a == b for a, b in zip(rows[i], rows[j])) >= h
+        for j in range(n))]
+    event("no heavy rows" if not heavy else
+          "all rows heavy" if len(heavy) == n else "some rows heavy")
+    ok, pair, checked = reference_ud_code_walk(rows, 2)
+    assert naive_ud_code(rows, 2)[0] == ok
+    event("2-UD" if ok else "duplicate symbol set")
+    witness = None if ok else Witness("duplicate-symbol-set", *pair)
+    # a forced packed scan of the whole book counts every unit on a
+    # failure, unless neither base-s^2 keys nor the one-hot family fit
+    fits = ((book.s * book.s) ** book.m < 2**63
+            or sum(len(set(col)) for col in zip(*rows)) <= 64)
+    for packed in (False, True):
+        results = _ud_code_cut_and_whole(book, packed)
+        want = checked if ok or not (packed and fits) else n + math.comb(n, 2)
+        for res in results:
+            assert (res.ok, res.witness, res.checked) == (ok, witness, want)
+
+
+def test_twelve_row_books_skip_the_heavy_row_index(example2_book, monkeypatch):
+    def no_index(rows):
+        raise AssertionError("heavy-row index built for a 12-row book")
+
+    monkeypatch.setattr(fam_mod, "_heavy_rows", no_index)
+    assert is_k_ud_code(example2_book, 2).ok
+
+
 def test_one_hot_universe_counts_used_symbols():
     # ranks, not symbols: three rows over s = 2**24 need 3 + 3 elements
     book = CodeBook(s=2**24, m=2, rows=np.array([[0, 0], [1, 1], [2, 2]]))
