@@ -39,7 +39,7 @@ import itertools
 import os
 import random
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -56,9 +56,6 @@ _PACKED_THRESHOLD = 512
 # this many rows per ceil(m/2)-subset of coordinates: the index then costs
 # a small share of the scan it saves, and 12-row books skip it.
 _AGREE_ROWS = 32
-# Heavy rows take the packed code scan beyond this many; below, the walk is
-# faster (about 120 rows on the heavy rows of W books).
-_HEAVY_SCAN_ROWS = 112
 # Above this many keys the packed K=2 scan is refused.  Its memory is a
 # few batches, so this bounds its time: 10^8 keys take about 1.5 s on two
 # CPUs.
@@ -66,8 +63,11 @@ _PACKED_LIMIT = 10**8
 # The packed scan sorts its keys in batches of about this many (1 MB),
 # whole classes at a time; a class larger than that is a batch alone.
 _PACKED_BATCH = 2**17
-# At most this many row labels, so at most 8,256 label pairs.
+# At most this many row labels, so at most 8,256 label pairs (`_batches`).
 _PACKED_LABELS = 128
+# Triangles are filled in strips of at most this many keys (128 KB): on the
+# 332 heavy rows of W over GF(83), one table peaked at 2.3 MB, strips 0.9.
+_PACKED_STRIP = 2**14
 # The cover kernel refuses a search whose root bounds would take more
 # than this many 64-bit word operations (about 20 s), or whose projections
 # and search nodes pass this many steps (tens of seconds in Python).
@@ -366,16 +366,24 @@ def _packed_pair_scan(single, outer, labels, klass, kind: str) -> VerifyResult:
 def _batches(labels, klass) -> list:
     """The packed scan's batches, as (key count, pieces).
 
-    Rows are grouped by label, after shifting the labels right until at
-    most `_PACKED_LABELS` remain.  The label pairs g <= h are ordered by
+    Labels only cut the keys of several batches along class boundaries,
+    and each label pair costs a piece, so the key count sets how many are
+    kept: keys that fit one batch share one label, and keys that need b
+    batches keep their labels shifted right until at most min(L, isqrt(L
+    * b)) remain, L = `_PACKED_LABELS` (about 64 label pairs a batch).
+    Rows are grouped by label, and the label pairs g <= h are ordered by
     class, then by (g, h).  A class joins batch b when the keys before it
     number b * B up to (b + 1) * B, B = `_PACKED_BATCH`, so every batch
     ends on a class boundary.  A piece (I, J, tri) holds the index sets
     I x J: the label pairs (g, h), (g, h + 1), ... of one batch form one
     rectangle, and a pair (g, g) the upper triangle of its group, diagonal
-    included (tri), in strips of rows with J[:len(I)] = I."""
-    labels = labels.astype(np.int64)
-    while len(np.unique(labels)) > _PACKED_LABELS:
+    included (tri), in strips of at most `_PACKED_STRIP` keys with
+    J[:len(I)] = I."""
+    n = len(labels)
+    need = -(-(n * (n + 1) // 2) // _PACKED_BATCH)
+    cap = 1 if need == 1 else min(_PACKED_LABELS, isqrt(_PACKED_LABELS * need))
+    labels = labels.astype(np.int64) if cap > 1 else np.zeros(n, np.int64)
+    while len(np.unique(labels)) > cap:
         labels >>= 1
     values, lab = np.unique(labels, return_inverse=True)
     perm = np.argsort(lab, kind="stable")
@@ -405,7 +413,7 @@ def _batches(labels, klass) -> list:
         for a, b0, b1 in rects:
             I = perm[start[a]:start[a + 1]]
             if a == b0:
-                step = max(1, _PACKED_BATCH // len(I))
+                step = max(1, _PACKED_STRIP // len(I))
                 pieces += [(I[r:r + step], I[r:], True)
                            for r in range(0, len(I), step)]
             else:
@@ -697,8 +705,9 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     At K = 2 a book of at least `_AGREE_ROWS` rows per ceil(m/2)-subset of
     coordinates is first cut to its heavy rows (`_heavy_rows`), the only
     rows a duplicate can involve.  The heavy rows, taken in index order,
-    have the same first repeat, so the verdict and witness are the whole
-    book's; `checked` is what the scan of the whole book reports."""
+    take the whole book's route and have the same first repeat, so the
+    verdict and witness are the whole book's; `checked` is what the scan
+    of the whole book reports."""
     if book.M == 0:
         raise FamilyError("empty codebook")
     if K < 1:
@@ -716,8 +725,7 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     heavy = _heavy_rows(book.rows)
     if not len(heavy):
         return VerifyResult(True, None, total)
-    res = _ud_code_scan(CodeBook(s, m, book.rows[heavy]), 2,
-                        pair_scan and len(heavy) > _HEAVY_SCAN_ROWS)
+    res = _ud_code_scan(CodeBook(s, m, book.rows[heavy]), 2, pair_scan)
     if res.ok:
         return VerifyResult(True, None, total)
     j1, j2 = (tuple(heavy[list(J)].tolist())

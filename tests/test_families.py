@@ -208,12 +208,13 @@ def packable_families(draw):
 # How a test forces the packed scan's partition: the rows' labels ("one"
 # gives every row label 0, "distinct" gives row j label j under a single
 # class spanning every label pair, "caller" keeps the caller's labels and
-# classes), the batch size, which tiny batches split at class boundaries,
-# and the labels cap, which below the label count coarsens the labels.
+# classes), the batch size, which tiny batches split at class boundaries
+# and 9..64 keys per batch cut into 2..9 batches, and the labels cap L,
+# which coarsens the labels of b batches to min(L, isqrt(L * b)).
 partitions = st.tuples(
     st.sampled_from(["one", "distinct", "caller", "caller"]),
-    st.one_of(st.integers(1, 8), st.just(2**17)),
-    st.sampled_from([1, 2, 3, 128]))
+    st.one_of(st.integers(1, 8), st.integers(9, 64), st.just(2**17)),
+    st.sampled_from([1, 2, 3, 16, 128]))
 
 
 @contextlib.contextmanager
@@ -837,6 +838,32 @@ def test_packed_scan_of_one_batch_starts_no_threads(monkeypatch):
         walks[0], replace(walks[1], checked=210)]
 
 
+def test_packed_batches_follow_the_key_count():
+    # keys that fit one batch share one label: 332 rows with 166 labels,
+    # one class per label pair, make one batch of triangle strips over
+    # all rows (the 332 heavy rows of W over GF(83) made 165 pieces)
+    n = 332
+    [(keys, pieces)] = fam_mod._batches(np.arange(n) // 2,
+                                        lambda g, h: g * n + h)
+    assert keys == n * (n + 1) // 2
+    assert all(tri for _, _, tri in pieces) and len(pieces) == 7
+    assert np.array_equal(np.concatenate([I for I, _, _ in pieces]),
+                          np.arange(n))
+    for I, J, _ in pieces:
+        assert np.array_equal(J, np.arange(I[0], n))
+        assert len(I) * len(J) <= fam_mod._PACKED_STRIP
+    # keys that need b batches keep at most min(128, isqrt(128 b)) labels:
+    # 1,000 distinct labels over 4 batches drop to 16, and 83 labels over
+    # 186 batches (example3's scan) are all kept; each triangle strip's J
+    # ends with its group's last row
+    for n, labels, groups in ((1000, np.arange(1000), 16),
+                              (6972, np.arange(6972) % 83, 83)):
+        batches = fam_mod._batches(labels, lambda g, h: g * n + h)
+        assert sum(keys for keys, _ in batches) == n * (n + 1) // 2
+        assert len({J[-1] for _, pieces in batches
+                    for _, J, tri in pieces if tri}) == groups
+
+
 @st.composite
 def ud_codebooks(draw):
     """Books of 2..8 rows and 1..4 coordinates over alphabets up to 2**40,
@@ -920,18 +947,15 @@ def agreeing_codebooks(draw):
 
 
 def _ud_code_cut_and_whole(book, packed: bool):
-    """K = 2 results on the whole book and on its heavy rows, the latter
-    with the heavy rows' default route and with the packed scan forced on
-    them; under `packed`, the whole book's scan is forced packed too."""
+    """K = 2 results on the whole book and on its heavy rows, which take
+    the whole book's route: under `packed`, both scans are forced packed."""
     with (forced_packed_scan() if packed else contextlib.nullcontext()), \
             pytest.MonkeyPatch.context() as mp:
         mp.setattr(fam_mod, "_AGREE_ROWS", 10**9)
         whole = is_k_ud_code(book, 2)
         mp.setattr(fam_mod, "_AGREE_ROWS", 0)
         cut = is_k_ud_code(book, 2)
-        mp.setattr(fam_mod, "_HEAVY_SCAN_ROWS", 0)
-        cut_packed = is_k_ud_code(book, 2)
-    return whole, cut, cut_packed
+    return whole, cut
 
 
 @given(agreeing_codebooks())
