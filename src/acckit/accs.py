@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .arrays import CodeBook, min_distance, provenance_holds
-from .codec import (bits_to_str, json_int, json_list, read_json, str_to_bits,
-                    write_json)
+from .codec import (bits_to_str, json_int, json_list, pack_masks, read_json,
+                    str_to_bits, write_json)
 from .families import (SetFamily, Universe, Witness, _canonical_cover_witness,
-                       _word_columns, distance_slack, is_k_cff, is_k_udf,
-                       is_k_ud_code)
+                       distance_slack, is_k_cff, is_k_udf, is_k_ud_code)
 
 MODES = ("exhaustive", "structural", "sampled")
 
@@ -128,7 +127,7 @@ class AndAcc:
     def _columns(self):
         """The codewords as a (words, n) uint64 array, built at the code's
         first trace and kept with it: n * ceil(v / 64) * 8 bytes."""
-        return _word_columns(self.codewords, self.v)[0]
+        return pack_masks(self.codewords, self.v)
 
     def codeword_string(self, j: int) -> str:
         return bits_to_str(self.codewords[j], self.v)

@@ -2,16 +2,19 @@
 
 JSON files are sorted-key and newline-terminated.  Line files hold one
 record per nonblank line: a codebook row, a code word or a fingerprint.
-Bitstrings put bit k of an integer mask at character k.  Both readers
-pass the parsed file to `build` and raise every malformed-input failure
-(bad JSON, a missing key, a wrong type, a non-integer number, or what
-`build` rejects) as the caller's error class, naming the path.
+Bitstrings put bit k of an integer mask at character k, and packed words
+(`pack_masks`) at bit k % 64 of uint64 word k // 64 of its column.  Both
+readers pass the parsed file to `build` and raise every malformed-input
+failure (bad JSON, a missing key, a wrong type, a non-integer number, or
+what `build` rejects) as the caller's error class, naming the path.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+
+import numpy as np
 
 
 def write_json(obj, path) -> None:
@@ -95,3 +98,19 @@ def str_to_bits(text: str, length: int | None = None) -> int:
         raise ValueError(f"bitstring {text!r} has length {len(text)}, "
                          f"expected {length}")
     return int(text[::-1], 2) if text else 0
+
+
+def pack_masks(masks, v: int) -> np.ndarray:
+    """C-contiguous (ceil(v / 64), len(masks)) uint64 columns: word w of
+    column j holds bits 64w..64w+63 of masks[j].  Each word is written
+    straight from one list, so packing holds the result and one list."""
+    cols = np.empty((-(-v // 64), len(masks)), np.uint64)
+    for w in range(len(cols)):
+        cols[w] = [mask >> 64 * w & 0xFFFF_FFFF_FFFF_FFFF for mask in masks]
+    return cols
+
+
+def unpack_masks(cols) -> list[int]:
+    """Inverse of pack_masks: the masks that (words, n) columns hold."""
+    return [sum(word << 64 * w for w, word in enumerate(col))
+            for col in cols.T.tolist()]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .accs import AndAcc
 from .arrays import build_W
-from .codec import bits_to_str, str_to_bits
+from .codec import bits_to_str, pack_masks, str_to_bits
 from .families import (SAMPLER, FamilyError, SampleReport, VerifyResult,
                        Witness, is_k_ud_code, sample_ud_code)
 from .gf import GF
@@ -120,7 +120,7 @@ def trace(acc: AndAcc, fp: Fingerprint, K: int | None = None) -> TraceResult:
         raise CollusionError(f"K must be >= 1, got {K}")
     bits = fp.bits
     cols = acc._columns
-    words = np.frombuffer(bits.to_bytes(8 * len(cols), "little"), "<u8")[:, None]
+    words = pack_masks([bits], acc.v)
     candidates = tuple(np.flatnonzero(((cols & words) == words).all(axis=0))
                        .tolist())
     codewords, full = acc.codewords, (1 << acc.v) - 1

@@ -18,8 +18,9 @@ from math import comb
 
 import numpy as np
 
-from .codec import (bits_to_str, json_int, json_list, read_json, read_lines,
-                    str_to_bits, write_json, write_lines)
+from .codec import (bits_to_str, json_int, json_list, pack_masks, read_json,
+                    read_lines, str_to_bits, unpack_masks, write_json,
+                    write_lines)
 from .families import SetFamily, Universe
 
 
@@ -168,9 +169,8 @@ def greedy_lexicode(q: int, d: int, w: int) -> ConstantWeightCode:
             kept.append(row)
             alive = alive[1:]
             alive = alive[_overlaps(block[alive], row) <= max_overlap]
-    words = [int.from_bytes(row.astype("<u8").tobytes(), "little")
-             for row in kept]
-    return ConstantWeightCode(q=q, w=w, d=d, words=words)
+    return ConstantWeightCode(q=q, w=w, d=d,
+                              words=unpack_masks(np.array(kept).T))
 
 
 def _overlaps(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -181,17 +181,13 @@ def _overlaps(rows: np.ndarray, row: np.ndarray) -> np.ndarray:
 def _lex_blocks(q: int, w: int):
     """All weight-w words of length q in lexicographic order of their
     support, as (count, ceil(q / 64)) uint64 arrays of at most
-    `_LEXICODE_BLOCK` rows (lane l holds bits 64l..64l+63).
+    `_LEXICODE_BLOCK` rows, the transpose of `pack_masks` columns.
 
     The words whose support starts with a fixed prefix and continues with
     k elements of start..q-1 are split, while there are more than a block
     of them, into those that take `start` next and those that do not."""
-    lanes = -(-q // 64)
-    bits = np.zeros((q, lanes), dtype=np.uint64)
-    positions = np.arange(q)
-    bits[positions, positions // 64] = np.left_shift(
-        np.uint64(1), (positions % 64).astype(np.uint64))
-    stack = [(0, w, np.zeros(lanes, dtype=np.uint64))]
+    bits = pack_masks([1 << p for p in range(q)], q).T
+    stack = [(0, w, np.zeros_like(bits[0]))]
     while stack:
         start, k, prefix = stack.pop()
         if comb(q - start, k) <= _LEXICODE_BLOCK:

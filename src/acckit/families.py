@@ -2,10 +2,12 @@
 
 Members are stored as Python integer bitmasks (bit k = element k of the
 universe), so a union is a single OR and universes wider than 64 elements
-need no special casing.  The verifiers here are the artifact's ground
-truth: they are exact, they emit a replayable witness on failure, and the
-witness is deterministic (first failure in canonical enumeration order:
-index sets by size then lexicographically, covering sets before targets).
+need no special casing; vectorised paths pack them once into (words, n)
+uint64 columns (`codec.pack_masks`).  The verifiers here are the
+artifact's ground truth: they are exact, they emit a replayable witness
+on failure, and the witness is deterministic (first failure in canonical
+enumeration order: index sets by size then lexicographically, covering
+sets before targets).
 
 Three properties are covered:
 
@@ -14,8 +16,8 @@ Three properties are covered:
 * cover-free families: no union of at most K members contains another
   member that is not part of the union;
 * union-distinct codes: no two different row-index sets of size at most K
-  produce the same per-coordinate symbol sets; a codebook is checked,
-  sampled and replayed as its one-hot family (`_one_hot`).
+  produce the same per-coordinate symbol sets; a codebook is checked and
+  sampled as its one-hot family (`_one_hot`).
 
 For K = 2 at scale, a sort-based duplicate scan over packed 64-bit keys
 replaces the dictionary walk.  Each row gets a label such that equal keys
@@ -44,7 +46,8 @@ from math import comb, isqrt
 import numpy as np
 
 from .arrays import CodeBook
-from .codec import json_int, json_ints, json_list, read_json, write_json
+from .codec import (bits_to_str, json_int, json_ints, json_list, pack_masks,
+                    read_json, write_json)
 
 # Above this many enumerated units an exhaustive dictionary walk is refused
 # (use sampling or the packed K=2 path instead).  The walk's dictionary
@@ -156,9 +159,11 @@ class SetFamily:
         return SetFamily(self.universe, [self.members[j] for j in indices])
 
     def to_json_dict(self) -> dict:
+        v = self.universe.v
         return {
             "universe": self.universe.to_json_dict(),
-            "sets": [list(_mask_bits(m)) for m in self.members],
+            "sets": [[k for k, bit in enumerate(bits_to_str(mask, v))
+                      if bit == "1"] for mask in self.members],
         }
 
     @classmethod
@@ -173,15 +178,6 @@ class SetFamily:
 
     def __repr__(self):
         return f"SetFamily(v={self.universe.v}, n={self.n})"
-
-
-def _mask_bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def save_family(family: SetFamily, path) -> None:
@@ -255,8 +251,10 @@ def replay_witness(obj, witness: Witness) -> bool:
     """Confirm that a witness indeed exhibits the claimed failure (on a
     CodeBook for kind duplicate-symbol-set, else on a SetFamily)."""
     if witness.kind == "duplicate-symbol-set":
-        obj = _one_hot(obj)
-    elif witness.kind == "cover":
+        a, b = (obj.rows[list(J)].T.tolist() for J in (witness.j1, witness.j2))
+        return (witness.j1 != witness.j2
+                and all(set(x) == set(y) for x, y in zip(a, b)))
+    if witness.kind == "cover":
         u = union_of(obj, witness.j2)
         return (witness.covered not in witness.j2
                 and obj.members[witness.covered] & ~u == 0)
@@ -291,7 +289,7 @@ def is_k_udf(family: SetFamily, K: int) -> VerifyResult:
     if pair_scan:
         # a row's label is its member's top field of min(v, 16) bits: the
         # top field of a union is the OR of its members' fields
-        arr = np.array(family.members, dtype=np.uint64)
+        arr = pack_masks(family.members, family.universe.v)[0]
         top = arr >> np.uint64(max(family.universe.v - 16, 0))
         return _packed_pair_scan(
             arr, lambda I, J, out: np.bitwise_or(arr[I, None], arr[J], out=out),
@@ -578,7 +576,8 @@ def _root_refuted(members, K, targets, v, product) -> np.ndarray:
         refuted = _block_refuted(members, K, T, *product)
     alive = ~refuted
     if alive.any():
-        cols, sizes = _word_columns(members, v)
+        cols = pack_masks(members, v)
+        sizes = np.bitwise_count(cols).sum(axis=0, dtype=np.int64)
         widest = _max_over_others(T[alive], len(members),
                                   lambda chunk: _overlaps(cols, chunk, v))
         refuted[alive] = sizes[T[alive]] > K * widest
@@ -597,7 +596,8 @@ def _block_refuted(members, K, T, m: int, q: int) -> np.ndarray:
         index: dict[int, int] = {}
         ids = np.array([index.setdefault(mask >> (b * q) & full, len(index))
                         for mask in members], dtype=np.intp)
-        blocks.append((ids, *_word_columns(list(index), q)))
+        blocks.append((ids, pack_masks(list(index), q),
+                       np.array([field.bit_count() for field in index])))
     nonempty = sum(sizes[ids] > 0 for ids, _, sizes in blocks)
 
     def heavy(chunk):
@@ -612,16 +612,9 @@ def _block_refuted(members, K, T, m: int, q: int) -> np.ndarray:
     return nonempty[T] > K * _max_over_others(T, n, heavy)
 
 
-def _word_columns(masks, v: int):
-    """The masks as a (words, len(masks)) uint64 array, one row per 64-bit
-    word so that each word is one contiguous pass, and their bit counts."""
-    cols = np.ascontiguousarray(_packed_rows(masks, v)[:-1].T)
-    return cols, np.bitwise_count(cols).sum(axis=0, dtype=np.int64)
-
-
 def _overlaps(cols, rows, v: int) -> np.ndarray:
     """Table of |x & y| for x the masks at `rows` and y every mask, from
-    `_word_columns` of masks of at most v bits."""
+    the `pack_masks` columns of masks of at most v bits."""
     out = np.zeros((len(rows), cols.shape[1]), dtype=np.min_scalar_type(v))
     for col in cols:
         out += np.bitwise_count(col & col[rows, None])
@@ -672,10 +665,7 @@ def _lex_first_cover(reps, residual, k, pos, widest, budget):
 def is_partial_cff(family: SetFamily, subfamily_indices, K: int) -> VerifyResult:
     """Check the designated subfamily, considered alone, for cover-freeness.
     Witness indices refer to positions within `subfamily_indices`."""
-    indices = list(subfamily_indices)
-    if not indices:
-        raise FamilyError("subfamily must be nonempty")
-    return is_k_cff(family.subfamily(indices), K)
+    return is_k_cff(family.subfamily(subfamily_indices), K)
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +691,10 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     """Exhaustively check that no two distinct row-index sets of size <= K
     give identical per-coordinate symbol sets: `is_k_udf` on the one-hot
     family, except K = 2 scans of large books with base-s^2 keys < 2^63.
+    One route decision for the whole book sets the budget and `checked`:
+    a K = 2 check of more than `_PACKED_THRESHOLD` rows whose keys fit, or
+    whose one-hot universe has at most 64 elements, is a packed scan
+    (`_PACKED_LIMIT`), any other a walk (`_EXHAUSTIVE_LIMIT`).
 
     At K = 2 a book of at least `_AGREE_ROWS` rows per ceil(m/2)-subset of
     coordinates is first cut to its heavy rows (`_heavy_rows`), the only
@@ -716,25 +710,27 @@ def is_k_ud_code(book: CodeBook, K: int) -> VerifyResult:
     total = _subset_count(n, K)
     s, m = book.s, book.m
     fits = (s * s) ** m < 2**63
-    pair_scan = min(K, n) == 2 and fits and n > _PACKED_THRESHOLD
-    if total > (_PACKED_LIMIT if pair_scan else _EXHAUSTIVE_LIMIT):
+    # the one-hot universe's size, counted only when the keys do not fit
+    packed = min(K, n) == 2 and n > _PACKED_THRESHOLD and (
+        fits or sum(len(np.unique(col)) for col in book.rows.T) <= 64)
+    if total > (_PACKED_LIMIT if packed else _EXHAUSTIVE_LIMIT):
         raise FamilyError(f"{total} subsets exceed the exhaustive budget; "
                           "use sample_ud_code")
+    keys = packed and fits
     if min(K, n) != 2 or n < _AGREE_ROWS * comb(m, -(-m // 2)):
-        return _ud_code_scan(book, K, pair_scan)
+        return _ud_code_scan(book, K, keys)
     heavy = _heavy_rows(book.rows)
     if not len(heavy):
         return VerifyResult(True, None, total)
-    res = _ud_code_scan(CodeBook(s, m, book.rows[heavy]), 2, pair_scan)
+    res = _ud_code_scan(CodeBook(s, m, book.rows[heavy]), 2, keys)
     if res.ok:
         return VerifyResult(True, None, total)
     j1, j2 = (tuple(heavy[list(J)].tolist())
               for J in (res.witness.j1, res.witness.j2))
-    # a packed scan of the whole book (base-s^2 keys, or the one-hot
-    # family's unions over at most 64 elements) counts every unit, the
-    # walk the units up to the witness: {a} is unit a + 1, and {a, b} is
-    # unit b - a of the last C(n - a, 2), the pairs of indices >= a
-    if n > _PACKED_THRESHOLD and (fits or _one_hot(book).universe.v <= 64):
+    # a packed scan of the whole book counts every unit, the walk the
+    # units up to the witness: {a} is unit a + 1, and {a, b} is unit
+    # b - a of the last C(n - a, 2), the pairs of indices >= a
+    if packed:
         checked = total
     elif len(j2) == 1:
         checked = j2[0] + 1
@@ -774,11 +770,11 @@ def _heavy_rows(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(heavy)
 
 
-def _ud_code_scan(book: CodeBook, K: int, pair_scan: bool) -> VerifyResult:
+def _ud_code_scan(book: CodeBook, K: int, keys: bool) -> VerifyResult:
     """The exact check of `is_k_ud_code` on all of `book`: the packed
-    base-s^2 scan when `pair_scan`, else `is_k_udf` on the one-hot family."""
+    base-s^2 scan when `keys`, else `is_k_udf` on the one-hot family."""
     s, m = book.s, book.m
-    if pair_scan:
+    if keys:
         # each coordinate's symbol set {lo, hi} is encoded as lo*s + hi and
         # the m codes are packed base s^2 into one integer per index set.
         # Since lo*s + hi = (s-1)*lo + (lo + hi) and lo + hi is the sum of
@@ -857,7 +853,7 @@ def sample_udf(family: SetFamily, K: int, trials: int, seed: int = 0) -> SampleR
     if family.n < 2:
         raise FamilyError("union sampling needs at least 2 members")
     return _sample("union-distinct", "duplicate-union",
-                   _packed_rows(family.members, family.universe.v),
+                   pack_masks(family.members + [0], family.universe.v),
                    K, min(K, family.n), trials, seed)
 
 
@@ -868,7 +864,7 @@ def sample_cff(family: SetFamily, K: int, trials: int, seed: int = 0) -> SampleR
     if family.n < 2:
         raise FamilyError("cover sampling needs at least 2 members")
     return _sample("cover-free", "cover",
-                   _packed_rows(family.members, family.universe.v),
+                   pack_masks(family.members + [0], family.universe.v),
                    K, min(K, family.n - 1), trials, seed)
 
 
@@ -883,26 +879,14 @@ def sample_ud_code(book: CodeBook, K: int, trials: int, seed: int = 0) -> Sample
         raise FamilyError(f"K must be >= 1, got {K}")
     family = _one_hot(book)
     return _sample("code-union-distinct", "duplicate-symbol-set",
-                   _packed_rows(family.members, family.universe.v), K,
+                   pack_masks(family.members + [0], family.universe.v), K,
                    min(K, book.M), trials, seed)
-
-
-def _packed_rows(masks, v: int) -> np.ndarray:
-    """Masks as rows of ceil(v / 64) little-endian uint64 words (word w
-    holds bits 64w..64w+63), followed by one all-zero padding row.  Each
-    mask is written straight into one buffer, so packing needs no more
-    memory than the result."""
-    width = 8 * -(-v // 64)
-    buf = bytearray(width * (len(masks) + 1))
-    for j, mask in enumerate(masks):
-        buf[j * width:(j + 1) * width] = mask.to_bytes(width, "little")
-    return np.frombuffer(buf, dtype="<u8").reshape(len(masks) + 1, -1)
 
 
 def _sample(prop: str, kind: str, packed: np.ndarray, K: int, kmax: int,
             trials: int, seed: int) -> SampleReport:
-    """The one sampler engine, over the n member rows of `packed` and its
-    zero padding row n.
+    """The one sampler engine, over the n member columns of `packed` and
+    its empty padding column n.
 
     Trials run in blocks drawn by `_draw_block` and checked all at once:
     kind "cover" counts a violation when member h lies inside the union
@@ -911,7 +895,7 @@ def _sample(prop: str, kind: str, packed: np.ndarray, K: int, kmax: int,
     """
     if trials < 1:
         raise FamilyError(f"trials must be >= 1, got {trials}")
-    n = len(packed) - 1
+    n = packed.shape[1] - 1
     rng = random.Random(seed)
     violations, witness = 0, None
     for start in range(0, trials, _BLOCK):
@@ -920,7 +904,7 @@ def _sample(prop: str, kind: str, packed: np.ndarray, K: int, kmax: int,
         if kind == "cover":
             hit = _covered(packed, other, u1)
         else:
-            hit = (u1 == _unions(packed, other)).all(axis=1)
+            hit = (u1 == _unions(packed, other)).all(axis=0)
         hits = np.flatnonzero(hit[:trials - start])
         violations += len(hits)
         if witness is None and len(hits):
@@ -1010,17 +994,17 @@ def _uniform(rng, m: int, count: int) -> np.ndarray:
 
 
 def _unions(packed: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Row t is the OR of the packed rows sets[t].  `np.take` gathers
-    whole rows several times faster than `packed[index]` does."""
-    u = np.take(packed, sets[:, 0], axis=0)
+    """Column t is the OR of the packed columns sets[t].  `np.take`
+    gathers several times faster than `packed[:, index]` does."""
+    u = np.take(packed, sets[:, 0], axis=1)
     for c in range(1, sets.shape[1]):
-        u |= np.take(packed, sets[:, c], axis=0)
+        u |= np.take(packed, sets[:, c], axis=1)
     return u
 
 
 def _covered(packed: np.ndarray, h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row t: whether packed row h[t] lies inside u[t]."""
-    return ~(np.take(packed, h, axis=0) & ~u).any(axis=1)
+    """Entry t: whether packed column h[t] lies inside column t of u."""
+    return ~(np.take(packed, h, axis=1) & ~u).any(axis=0)
 
 
 def _require_family(family: SetFamily, K: int) -> None:

@@ -1,7 +1,10 @@
+import ast
 import copy
 import functools
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +13,9 @@ from acckit.accs import (MODES, AndAcc, Certificate, ConstructionError,
 from acckit.arrays import (PROVENANCES, CodeBook, ParameterError,
                            load_codebook, save_codebook)
 from acckit.cli import main
-from acckit.codec import (bits_to_str, json_int, json_ints, read_json,
-                          read_lines, str_to_bits, write_json, write_lines)
+from acckit.codec import (bits_to_str, json_int, json_ints, pack_masks,
+                          read_json, read_lines, str_to_bits, unpack_masks,
+                          write_json, write_lines)
 from acckit.cwcodes import ConstantWeightCode, CodeError, export_code, import_code
 from acckit.families import (FamilyError, SetFamily, Universe, Witness,
                              load_family, save_family)
@@ -24,6 +28,48 @@ def test_bitstring_roundtrip():
     assert bits_to_str(0, 0) == "" and str_to_bits("") == 0
     for bits in (0, 1, 2**70 - 1, 0x5A5A5A5A5A5A5A5A5A):
         assert str_to_bits(bits_to_str(bits, 72), 72) == bits
+
+
+@st.composite
+def masks_of_width(draw):
+    """v at and around the word boundaries, and masks of at most v bits,
+    the empty and the full mask among them."""
+    v = draw(st.sampled_from([1, 63, 64, 65, 128, 129]))
+    full = 2**v - 1
+    masks = draw(st.lists(st.one_of(st.integers(0, full),
+                                    st.sampled_from([0, full, 1 << (v - 1)])),
+                          max_size=8))
+    return v, masks + [0, full]
+
+
+@given(masks_of_width())
+def test_packed_words_round_trip(case):
+    # bit k of mask j is bit k % 64 of word k // 64 of column j
+    v, masks = case
+    cols = pack_masks(masks, v)
+    assert cols.shape == (-(-v // 64), len(masks))
+    assert cols.dtype == np.uint64 and cols.flags.c_contiguous
+    for j, mask in enumerate(masks):
+        for k in range(v):
+            assert int(cols[k // 64, j]) >> (k % 64) & 1 == mask >> k & 1
+    assert unpack_masks(cols) == masks
+    assert pack_masks([], v).shape == (-(-v // 64), 0)
+    assert unpack_masks(pack_masks([], v)) == []
+
+
+def test_only_codec_converts_between_masks_and_words():
+    # one owner of the packed-word layout: no other module turns a mask
+    # into bytes or back, or reads little-endian 64-bit words itself
+    package = Path(pack_masks.__code__.co_filename).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "codec.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("to_bytes", "from_bytes")), where
+            assert not (isinstance(node, ast.Constant)
+                        and node.value == "<u8"), where
 
 
 def test_bitstring_rejects_bad_input():

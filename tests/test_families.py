@@ -19,6 +19,7 @@ import acckit
 import acckit.families as fam_mod
 from acckit.accs import acc_to_family, build_theorem2_acc
 from acckit.arrays import CodeBook, build_U, build_W, min_distance
+from acckit.codec import pack_masks
 from acckit.cwcodes import family_from_code, greedy_lexicode, import_code
 from acckit.families import (FamilyError, SetFamily, Universe, Witness,
                              distance_slack, is_k_cff, is_k_ud_code, is_k_udf,
@@ -347,6 +348,19 @@ def test_packed_scans_refuse_past_the_key_budget(monkeypatch):
         is_k_ud_code(book, 2)
 
 
+def test_ud_code_budget_follows_the_one_hot_route(monkeypatch):
+    # base-s^2 keys over a declared alphabet of 2^40 do not fit, but the
+    # rows use 21 symbols per column, so their one-hot universe has at most
+    # 63 elements and `is_k_udf` scans it packed: the budget is the packed
+    # one, as for the same rows declared over 21 symbols
+    monkeypatch.setattr(fam_mod, "_EXHAUSTIVE_LIMIT", 1000)
+    codes = np.random.default_rng(7).choice(21**3, 600, replace=False)
+    rows = np.stack([codes // 441, codes // 21 % 21, codes % 21], axis=1)
+    wide = is_k_ud_code(CodeBook(s=2**40, m=3, rows=rows), 2)
+    assert wide == is_k_ud_code(CodeBook(s=21, m=3, rows=rows), 2)
+    assert wide.checked == 600 + 600 * 599 // 2
+
+
 # ---------------------------------------------------------------------------
 # cover-free verification
 # ---------------------------------------------------------------------------
@@ -614,7 +628,8 @@ def test_cff_planted_cover_at_scale():
     singles = SetFamily.from_sets(Universe(7), [[l] for l in range(7)])
     acc, _ = build_theorem2_acc(build_U(GF(7), 3, 7), singles, g, 3)
     out = acc_to_family(acc)
-    assert out.n == 357 and fam_mod._mask_bits(out.members[350]) == (21, 25, 26, 27)
+    assert out.n == 357
+    assert out.members[350] == sum(1 << k for k in (21, 25, 26, 27))
     planted = SetFamily.from_sets(out.universe, [[0, 8, 21, 25, 26]])
     fam = SetFamily(out.universe, out.members + planted.members)
     res = is_k_cff(fam, 3)
@@ -727,6 +742,20 @@ def test_ud_code_packed_default_dispatch_failure():
     assert res.checked == 558_096
     assert res.witness == Witness("duplicate-symbol-set", (96, 98), (1024, 1026))
     assert replay_witness(book, res.witness)
+
+
+def test_code_witness_replays_from_symbol_sets(monkeypatch):
+    # a code witness is replayed from the rows' symbol sets, not through
+    # the one-hot family the verifiers encode the book as
+    def no_one_hot(book):
+        raise AssertionError("replay built the one-hot family")
+
+    monkeypatch.setattr(fam_mod, "_one_hot", no_one_hot)
+    book = build_W(GF(2, 5), 2, 3)
+    w = Witness("duplicate-symbol-set", (96, 98), (1024, 1026))
+    assert replay_witness(book, w)
+    assert not replay_witness(book, replace(w, j2=(1024, 1027)))
+    assert not replay_witness(book, replace(w, j2=w.j1))
 
 
 def _packing_bound(m):
@@ -1205,10 +1234,10 @@ def test_draw_sets_matches_row_wise_floyd_reference():
 
 
 @st.composite
-def packed_rows_and_sets(draw):
-    """Members over v = 1..192 elements (rows of 1-3 words, the top bit of
-    the universe often set), index sets over 0..n that may hold the
-    padding row n, and one target member per set."""
+def packed_columns_and_sets(draw):
+    """Members over v = 1..192 elements (columns of 1-3 words, the top bit
+    of the universe often set), index sets over 0..n that may hold the
+    padding column n, and one target member per set."""
     v = draw(st.one_of(st.integers(1, 192), st.sampled_from([64, 65, 128])))
     mask = st.one_of(st.integers(1, 2**v - 1),
                      st.sampled_from([1, 2**v - 1, 1 << (v - 1)]))
@@ -1223,13 +1252,13 @@ def packed_rows_and_sets(draw):
     return v, masks, sets, h
 
 
-@given(packed_rows_and_sets())
+@given(packed_columns_and_sets())
 def test_unions_and_cover_check_match_python_ints(case):
-    # the sampler's row gathers against a per-row OR of Python ints,
-    # with index n standing for the empty padding row
+    # the sampler's column gathers against a per-column OR of Python
+    # ints, with index n standing for the empty padding column
     v, masks, sets, h = case
-    packed = fam_mod._packed_rows(masks, v)
-    assert packed.shape == (len(masks) + 1, -(-v // 64))
+    packed = pack_masks(masks + [0], v)
+    assert packed.shape == (-(-v // 64), len(masks) + 1)
     u = fam_mod._unions(packed, np.array(sets, dtype=np.int64))
     covered = fam_mod._covered(packed, np.array(h, dtype=np.int64), u)
     padded = masks + [0]
@@ -1237,7 +1266,7 @@ def test_unions_and_cover_check_match_python_ints(case):
         want = 0
         for j in S:
             want |= padded[j]
-        assert int.from_bytes(u[t].astype("<u8").tobytes(), "little") == want
+        assert int.from_bytes(u[:, t].astype("<u8").tobytes(), "little") == want
         assert bool(covered[t]) == (masks[h[t]] & ~want == 0)
 
 
