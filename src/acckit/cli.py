@@ -269,7 +269,15 @@ def cmd_acc_build_t2(args) -> int:
 def cmd_acc_verify(args) -> int:
     acc = accs.load_acc(args.acc)
     K = args.K if args.K is not None else acc.K
-    return _verify(args, accs.acc_to_family(acc), K)
+    # ACC files record no product; any partition gives the same verdict
+    product = None
+    if args.product:
+        try:
+            m, q = map(int, args.product.split(","))
+        except ValueError:
+            raise ValueError(f"--product takes M,Q, got {args.product!r}") from None
+        product = (m, q)
+    return _verify(args, accs.acc_to_family(acc, product=product), K)
 
 
 def cmd_acc_compare(args) -> int:
@@ -476,6 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(q, cmd_acc_build_t2)
     q = asub.add_parser("verify")
     q.add_argument("--acc", required=True)
+    q.add_argument("--product", metavar="M,Q",
+                   help="read the universe as {1..M} x {0..Q-1}")
     _add_verify_args(q, cmd_acc_verify, K_required=False)
     q = asub.add_parser("compare")
     q.add_argument("--acc", required=True)

@@ -28,6 +28,10 @@ worker rather than one array of every key.  Verdicts are identical, and
 the canonical witness is recovered by walking only the index sets whose
 key repeats.  A K = 2 code check first drops the rows that agree with no
 other row on ceil(m/2) or more coordinates, which no duplicate involves.
+On a product universe whose fields are 2-union-distinct in every block,
+a K = 2 union check is that code check on the members' fields (the
+converse of the concatenation construction), so it scans only the
+members that the code's heavy-row cut keeps (`is_k_udf`).
 Cover-freeness first drops, in bulk, the targets that two exact bounds
 prove uncoverable (a count of shared elements, and on a product universe
 a count of blocks), then runs one exact kernel per remaining target over
@@ -98,7 +102,7 @@ class Universe:
             raise FamilyError(f"universe size must be positive, got {self.v}")
         if self.product is not None:
             m, q = self.product
-            if m * q != self.v:
+            if m < 1 or q < 1 or m * q != self.v:
                 raise FamilyError(f"product {m}x{q} does not match v={self.v}")
             object.__setattr__(self, "product", (int(m), int(q)))
 
@@ -279,7 +283,23 @@ def _subset_count(n: int, kmax: int) -> int:
 # ---------------------------------------------------------------------------
 
 def is_k_udf(family: SetFamily, K: int) -> VerifyResult:
-    """Exhaustively check that all unions of <= K members are distinct."""
+    """Exhaustively check that all unions of <= K members are distinct.
+
+    A K = 2 check of more than `_PACKED_THRESHOLD` members over at most 64
+    elements is a packed scan; any other is a dictionary walk.  On a
+    product universe (m, q) where each block's distinct fields are
+    2-union-distinct (`_product_fields`), read member j as a codeword whose
+    symbol at block b is its q-bit field there.  At each block
+
+    * the union of the fields of J, |J| <= 2, determines their set,
+    * and that set determines the union,
+    * so U(J1) = U(J2) exactly when J1 and J2 have equal symbol sets at
+      every block: the family's duplicates are the code's.
+
+    Only the code's heavy rows (`_heavy_rows`) can then take part in a
+    duplicate, so the scan runs on those members alone, in index order,
+    which keeps the first repeat and its witness.  `checked` is the
+    scan's n + C(n, 2) on every route."""
     _require_family(family, K)
     n = family.n
     total = _subset_count(n, K)
@@ -287,13 +307,23 @@ def is_k_udf(family: SetFamily, K: int) -> VerifyResult:
     if total > (_PACKED_LIMIT if pair_scan else _EXHAUSTIVE_LIMIT):
         raise FamilyError(f"{total} unions exceed the exhaustive budget; use sample_udf")
     if pair_scan:
+        words = pack_masks(family.members, family.universe.v)[0]
+        fields = _product_fields(words, family.universe.product)
+        rows = np.arange(n) if fields is None else _heavy_rows(fields)
+        if not len(rows):
+            return VerifyResult(True, None, total)
         # a row's label is its member's top field of min(v, 16) bits: the
         # top field of a union is the OR of its members' fields
-        arr = pack_masks(family.members, family.universe.v)[0]
+        arr = words[rows]
         top = arr >> np.uint64(max(family.universe.v - 16, 0))
-        return _packed_pair_scan(
+        res = _packed_pair_scan(
             arr, lambda I, J, out: np.bitwise_or(arr[I, None], arr[J], out=out),
             top, np.bitwise_or, "duplicate-union")
+        if res.ok:
+            return VerifyResult(True, None, total)
+        j1, j2 = (tuple(rows[list(J)].tolist())
+                  for J in (res.witness.j1, res.witness.j2))
+        return VerifyResult(False, Witness("duplicate-union", j1, j2), total)
     seen: dict[int, tuple[int, ...]] = {}
     members = family.members
     checked = 0
@@ -307,6 +337,34 @@ def is_k_udf(family: SetFamily, K: int) -> VerifyResult:
             return VerifyResult(False, Witness("duplicate-union", prev, J), checked)
         seen[u] = J
     return VerifyResult(True, None, checked)
+
+
+def _product_fields(words, product) -> np.ndarray | None:
+    """The (n, m) table of the members' q-bit fields on the product
+    universe `product` = (m, q), from their packed words, if the K = 2
+    scan may be cut to that code's heavy rows; else None.  Counts decide
+    first: `is_k_ud_code`'s rule for the cut, and at most isqrt(2n)
+    distinct fields per block, which caps the walks over their unions at
+    m * n, against the scan's n^2 / 2 (and leaves m = 1 with distinct
+    members to the scan).  Then each block's distinct fields must have
+    distinct unions of at most two (an empty field beside another fails)."""
+    if product is None:
+        return None
+    m, q = product
+    n = len(words)
+    if n < _AGREE_ROWS * comb(m, -(-m // 2)):
+        return None
+    shifts = np.arange(m, dtype=np.uint64) * np.uint64(q)
+    fields = words[:, None] >> shifts & np.uint64((1 << q) - 1)
+    blocks = [np.unique(col).tolist() for col in fields.T]
+    if max(map(len, blocks)) > isqrt(2 * n):
+        return None
+    for block in blocks:
+        unions = {a | b for a, b in
+                  itertools.combinations_with_replacement(block, 2)}
+        if len(unions) < comb(len(block) + 1, 2):
+            return None
+    return fields
 
 
 def _packed_pair_scan(single, outer, labels, klass, kind: str) -> VerifyResult:

@@ -163,7 +163,7 @@ def _run_example3(preset, fixtures):
     gf = GF(83)
     book = build_W(gf, 2, 3)
     acc, cert = build_theorem1_acc(book, family, preset.K, mode="structural")
-    res = is_k_udf(acc_to_family(acc), preset.K)
+    res = is_k_udf(acc_to_family(acc, product=(book.m, cw.q)), preset.K)
     cert.add("output family is K-UDF", "exhaustive", res.ok,
              params={"checked": res.checked, "unions": res.checked},
              witness=res.witness)

@@ -106,6 +106,9 @@ def test_criterion_04_full_scale_concatenation():
     res = is_k_udf(out_family, 2)
     assert res.ok
     assert res.checked == 6972 + comb(6972, 2) == 24_307_878
+    # the product takes the heavy-row route; without it, the packed scan
+    # over every union must give the same result
+    assert is_k_udf(acc_to_family(acc), 2) == res
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     label = "exact (60, 6972, 2)" if exact else \

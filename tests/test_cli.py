@@ -539,3 +539,37 @@ def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     seeds = [json.loads(out)["seed"] for _, out in want[2:4]]
     assert seeds == [5, 0]
+
+
+def test_acc_verify_product_never_changes_the_verdict(preset_run, capsys,
+                                                      monkeypatch):
+    # ACC files record no product; --product M,Q supplies one, which brings
+    # cff to the block bound and udf to the heavy-row route.  Both are exact
+    # for any partition, so the JSON is the same with or without one.
+    import acckit.families as fam_mod
+    accs = {name: str(preset_run(name)[2] / f"{name}_acc.json")
+            for name in ("example3", "example4")}
+    fields_of, routed = fam_mod._product_fields, []
+
+    def spy(words, product):
+        fields = fields_of(words, product)
+        routed.append((product, fields is not None))
+        return fields
+
+    monkeypatch.setattr(fam_mod, "_product_fields", spy)
+    for name, prop, checked, products in (
+            ("example4", "cff", 2_684_627_862, ["7,7"]),
+            ("example3", "udf", 24_307_878, ["3,20", "6,10"])):
+        acc = accs[name]
+        verify = ["acc", "verify", "--acc", acc, "--prop", prop, "--K",
+                  "3" if prop == "cff" else "2", "--json"]
+        runs = [run_cli(capsys, *verify, *extra) for extra in
+                ([], *(["--product", p] for p in products))]
+        assert runs == [(0, runs[0][1], "")] * len(runs)
+        assert json.loads(runs[0][1]) == {"ok": True, "checked": checked}
+    # 6 x 10 splits example3's fields in halves, which the route declines
+    assert routed == [(None, False), ((3, 20), True), ((6, 10), False)]
+    for spec, message in (("4,4", "does not match v=60"), ("3", "M,Q")):
+        code, out, err = run_cli(capsys, "acc", "verify", "--acc", acc,
+                                 "--prop", "udf", "--K", "2", "--product", spec)
+        assert code == 2 and out == "" and message in err, spec

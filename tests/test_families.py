@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import acckit
 import acckit.families as fam_mod
-from acckit.accs import acc_to_family, build_theorem2_acc
+from acckit.accs import acc_to_family, build_h0, build_theorem2_acc
 from acckit.arrays import CodeBook, build_U, build_W, min_distance
 from acckit.codec import pack_masks
 from acckit.cwcodes import family_from_code, greedy_lexicode, import_code
@@ -50,8 +50,9 @@ def random_family(rng, n, v, max_size=None):
 # ---------------------------------------------------------------------------
 
 def test_universe_rejects_mismatched_product():
-    with pytest.raises(FamilyError):
-        Universe(8, (3, 3))
+    for product in ((3, 3), (-2, -4)):
+        with pytest.raises(FamilyError):
+            Universe(8, product)
 
 
 def test_family_construction_guards():
@@ -273,6 +274,148 @@ def _check_packed_udf(fam, partition):
         assert union_of(fam, pair[0]) == union_of(fam, pair[1])
         assert packed.checked == fam.n + math.comb(fam.n, 2)
         assert walk.checked <= packed.checked
+
+
+@st.composite
+def product_families(draw):
+    """Families of 2..16 members on a product universe {1..m} x {0..q-1},
+    v <= 64.  Each block has a pool of at most 5 fields: singletons, fields
+    with a private element each (2-union-distinct), random fields, or
+    random fields with the empty one; a member takes one field of each
+    pool.  Or, spread: 13..16 members over 3..5 blocks of 5 singletons
+    each, member k at block b taking the singleton (x + b y) mod 5 for
+    distinct (x, y), so two members agree at one block at most and none is
+    heavy until a plant.  A member may copy another, or two may mix two
+    others block-wise, which plants a duplicate union.  Empty members are
+    dropped."""
+    m = draw(st.integers(1, 8))
+    q = draw(st.one_of(st.integers(1, 64 // m), st.just(64 // m)))
+    spread = 3 <= m <= 5 and q >= 5 and draw(st.booleans())
+    pools = []
+    for _ in range(m):
+        kind = "singletons" if spread else draw(st.sampled_from(
+            ["singletons", "private", "random", "empty"]))
+        size = 5 if spread else draw(st.integers(1, 5))
+        field = st.integers(1, 2**q - 1)
+        if kind == "singletons":
+            pool = [1 << l for l in draw(st.permutations(range(q)))[:size]]
+        elif kind == "private":
+            pool = [1 << j | draw(field) >> min(size, q) << min(size, q)
+                    for j in range(min(size, q))]
+        else:
+            pool = draw(st.lists(field, min_size=1, max_size=size))
+            if kind == "empty":
+                pool.append(0)
+        pools.append(pool)
+    n = draw(st.integers(13 if spread else 2, 16))
+    if spread:
+        rows = [[pool[(k // 5 + b * (k % 5)) % 5] for b, pool in
+                 enumerate(pools)] for k in draw(st.permutations(range(25)))[:n]]
+    else:
+        rows = [[draw(st.sampled_from(pool)) for pool in pools]
+                for _ in range(n)]
+    plant = draw(st.sampled_from(["none", "none", "copy", "mix"]))
+    order = draw(st.permutations(range(n)))
+    if plant == "copy":
+        rows[order[1]] = list(rows[order[0]])
+    elif plant == "mix" and n >= 4:
+        a, b, c, d = order[:4]
+        pick = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        rows[c] = [rows[b][i] if p else rows[a][i] for i, p in enumerate(pick)]
+        rows[d] = [rows[a][i] if p else rows[b][i] for i, p in enumerate(pick)]
+    event(plant)
+    members = [x for x in (sum(f << b * q for b, f in enumerate(row))
+                           for row in rows) if x]
+    assume(len(members) >= 2)
+    return SetFamily(Universe(m * q, (m, q)), members)
+
+
+def test_product_udf_route_matches_scan_and_oracle():
+    # on a product universe whose blocks' fields are 2-union-distinct, the
+    # packed scan runs on the heavy rows of the members' field code only:
+    # ok, witness and checked must be the product-free family's packed
+    # scan's, and the verdict the oracle's
+    routes = []
+
+    @given(product_families())
+    def check(fam):
+        fields_of = fam_mod._product_fields
+
+        def spy(words, product):
+            fields = fields_of(words, product)
+            if product is not None:
+                routes.append(fields is not None)
+            return fields
+
+        plain = SetFamily(Universe(fam.universe.v), fam.members)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fam_mod, "_PACKED_THRESHOLD", 1)
+            mp.setattr(fam_mod, "_AGREE_ROWS", 0)
+            mp.setattr(fam_mod, "_product_fields", spy)
+            scan = is_k_udf(plain, 2)
+            tried = len(routes)
+            res = is_k_udf(fam, 2)
+        assert len(routes) == tried + 1
+        event("route" if routes[-1] else "scan")
+        ok, _ = naive_udf(fam.members, 2)
+        event("2-UD" if ok else "duplicate union")
+        assert res == scan and res.ok == ok
+        assert ok or replay_witness(fam, res.witness)
+
+    # about 58-70 % of the examples take the route
+    check()
+    assert 0.3 * len(routes) <= sum(routes) <= 0.85 * len(routes)
+
+
+@pytest.mark.parametrize("plant", ["copy", "mix"])
+def test_udf_route_keeps_the_scan_witness_at_scale(plant):
+    # example3's output, W over GF(83) concatenated with its 83 fields of
+    # 20 bits, with a planted duplicate union: rows 5000 and 6000 copy row
+    # 4000, or mix rows 100 and 4000 block-wise.  The route scans only the
+    # heavy rows, and must report the scan's witness in the whole
+    # family's indices.
+    inner = family_from_code(import_code(FIXTURE_DIR / "example3_inner_code.json"))
+    members = build_h0(build_W(GF(83), 2, 3), inner).members
+    a, b, c, d = 100, 4000, 5000, 6000
+    if plant == "copy":
+        members[c] = members[d] = members[b]
+    else:
+        block = (1 << 20) - 1 << 20
+        members[c] = members[a] & ~block | members[b] & block
+        members[d] = members[b] & ~block | members[a] & block
+    fam = SetFamily(Universe(60, (3, 20)), members)
+    words = pack_masks(members, 60)[0]
+    heavy = fam_mod._heavy_rows(fam_mod._product_fields(words, (3, 20)))
+    planted = ((b,), (c,)) if plant == "copy" else ((a, b), (c, d))
+    assert set(sum(planted, ())) <= set(heavy.tolist()) and len(heavy) < 400
+    res = is_k_udf(fam, 2)
+    assert res.witness == Witness("duplicate-union", *planted)
+    assert res == is_k_udf(SetFamily(Universe(60), members), 2)
+
+
+def test_product_fields_route_rule(monkeypatch):
+    # 8 members on 4-bit blocks, member j taking pool[(j + b) % len(pool)]
+    # at block b: the counts decide first, then each block's fields
+    def fields(pool, m, q=4, n=8):
+        words = np.array([sum(pool[(j + b) % len(pool)] << b * q
+                              for b in range(m)) for j in range(n)],
+                         dtype=np.uint64)
+        return fam_mod._product_fields(words, (m, q))
+
+    singles = [1, 2, 4, 8]
+    assert fields(singles, 3) is None         # 8 < 32 * C(3, 2) members
+    monkeypatch.setattr(fam_mod, "_AGREE_ROWS", 1)
+    got = fields(singles, 3)
+    assert got.shape == (8, 3)
+    assert got[:, 1].tolist() == [2, 4, 8, 1, 2, 4, 8, 1]
+    assert fields(singles, 4) is not None     # 8 >= C(4, 2)
+    assert fields(singles, 5) is None         # 8 < C(5, 3)
+    assert fields(singles, 3, n=7) is None    # 4 fields > isqrt(14)
+    assert fields([0], 3) is not None         # a constant block
+    assert fields([0, 1], 3) is None          # {0} and {0, 1} unite alike
+    assert fields([1, 2, 3], 3) is None       # 1 | 2 = 3
+    assert fields(singles, 1, q=64) is not None  # one 64-bit block
+    assert fam_mod._product_fields(np.ones(8, np.uint64), None) is None
 
 
 def test_udf_member_order_invariance():
