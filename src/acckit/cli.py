@@ -377,10 +377,14 @@ def cmd_preset_list(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, func, seed=False):
+# --seed of the sampled modes: the samplers' stream state is 64 bits
+_SAMPLER_SEED = "sampler seed, an integer in [0, 2^64) (default 0)"
+
+
+def _add_common(sp, func, seed=None):
     sp.add_argument("--json", action="store_true", help="machine output")
     if seed:
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=0, help=seed)
     sp.set_defaults(func=func)
 
 
@@ -399,7 +403,7 @@ def _add_verify_args(sp, func, K_required):
     sp.add_argument("--mode", choices=["exhaustive", "sampled"],
                     default="exhaustive")
     sp.add_argument("--trials", type=int, default=10**6)
-    _add_common(sp, func, seed=True)
+    _add_common(sp, func, seed=_SAMPLER_SEED)
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -445,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--target-n", type=int, required=True)
     q.add_argument("--budget", type=int, default=200_000)
     q.add_argument("--out")
-    _add_common(q, cmd_cw_search, seed=True)
+    _add_common(q, cmd_cw_search, seed="search seed (default 0)")
     q = csub.add_parser("verify")
     q.add_argument("--code", required=True)
     q.add_argument("--d", type=int, help="expected distance for bitstring files")
@@ -514,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "sampled"],
                    default="exhaustive")
     p.add_argument("--trials", type=int, default=10**6)
-    _add_common(p, cmd_scan_remark6, seed=True)
+    _add_common(p, cmd_scan_remark6, seed=_SAMPLER_SEED)
 
     p = sub.add_parser("preset", help="canonical end-to-end pipelines")
     psub = p.add_subparsers(dest="subcommand", required=True)

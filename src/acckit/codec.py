@@ -3,7 +3,8 @@
 JSON files are sorted-key and newline-terminated.  Line files hold one
 record per nonblank line: a codebook row, a code word or a fingerprint.
 Bitstrings put bit k of an integer mask at character k, and packed words
-(`pack_masks`) at bit k % 64 of uint64 word k // 64 of its column.  Both
+(`pack_masks`) at bit k % 64 of uint64 word k // 64 of its column; a
+uint64 word splits into 32-bit halves low half first (`split_words`).  Both
 readers pass the parsed file to `build` and raise every malformed-input
 failure (bad JSON, a missing key, a wrong type, a non-integer number, or
 what `build` rejects) as the caller's error class, naming the path.
@@ -108,6 +109,12 @@ def pack_masks(masks, v: int) -> np.ndarray:
     for w in range(len(cols)):
         cols[w] = [mask >> 64 * w & 0xFFFF_FFFF_FFFF_FFFF for mask in masks]
     return cols
+
+
+def split_words(words) -> np.ndarray:
+    """The 32-bit halves of the uint64 array `words`, low half first: a
+    view of it where the host is little-endian."""
+    return words.astype("<u8", copy=False).view("<u4")
 
 
 def unpack_masks(cols) -> list[int]:

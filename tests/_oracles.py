@@ -206,32 +206,58 @@ def reference_feasible_subset(words, max_overlap):
         keep.pop(counts.index(max(counts)))
 
 
-def reference_uniform(rng, m, count):
-    """`count` integers uniform on [0, m) from rng's bytes: 32-bit words
-    below the largest multiple of m are kept and reduced mod m."""
+class SplitMix64:
+    """splitmix64.c in Python ints, one output at a time: the state starts
+    at the seed, and each output adds 0x9E3779B97F4A7C15 to it and mixes
+    the sum.  `word` hands out the outputs' 32-bit halves, low half first,
+    and `used` counts them."""
+
+    def __init__(self, seed):
+        self.state, self.used, self.high = seed, 0, None
+
+    def next64(self):
+        mask = (1 << 64) - 1
+        self.state = (self.state + 0x9E3779B97F4A7C15) & mask
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    def word(self):
+        self.used += 1
+        if self.high is None:
+            z = self.next64()
+            self.high = z >> 32
+            return z & 0xFFFFFFFF
+        word, self.high = self.high, None
+        return word
+
+
+def reference_uniform(words, m, count):
+    """`count` integers uniform on [0, m), one `SplitMix64` word at a time:
+    a word below the largest multiple of m under 2^32 is reduced mod m,
+    any other is skipped."""
     limit = (1 << 32) // m * m
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        x = np.frombuffer(rng.randbytes(4 * (count - filled)), dtype="<u4")
-        x = x[x <= limit - 1]
-        out[filled:filled + len(x)] = x % m
-        filled += len(x)
-    return out
+    out = []
+    while len(out) < count:
+        x = words.word()
+        if x < limit:
+            out.append(x % m)
+    return np.array(out, dtype=np.int64)
 
 
-def reference_floyd_sets(rng, n, kmax, count):
-    """The sampler's index-set draw, row by row: `count` sorted rows of a
-    (count, kmax) array padded with n.  Sizes are uniform on 1..kmax; then
-    Floyd's algorithm runs one column per step j = n - kmax .. n - 1, where
-    every row of size >= n - j draws t uniform on 0..j and takes t, or j
-    if t is already in the row."""
-    size = reference_uniform(rng, kmax, count) + 1
+def reference_floyd_sets(words, n, kmax, count):
+    """The sampler's index-set draw, row by row, from a `SplitMix64`:
+    `count` sorted rows of a (count, kmax) array padded with n.  Sizes are
+    uniform on 1..kmax; then Floyd's algorithm runs one column per step
+    j = n - kmax .. n - 1, where every row of size >= n - j draws t
+    uniform on 0..j and takes t, or j if t is already in the row."""
+    size = reference_uniform(words, kmax, count) + 1
     idx = np.full((count, kmax), n, dtype=np.int64)
     for c in range(kmax):
         j = n - kmax + c
         rows = np.flatnonzero(size >= kmax - c)
-        t = reference_uniform(rng, j + 1, len(rows))
+        t = reference_uniform(words, j + 1, len(rows))
         taken = (idx[rows, :c] == t[:, None]).any(axis=1)
         idx[rows, c] = np.where(taken, j, t)
     idx.sort(axis=1)

@@ -179,7 +179,7 @@ def test_criterion_06_large_augmentation(preset_run):
     assert sampled["result"] and sampled["params"]["trials"] == 10**6
     assert sampled["params"]["violations"] == 0
     assert sampled["params"] == {"trials": 10**6, "violations": 0, "seed": 0,
-                                 "sampler": "batched-v1"}
+                                 "sampler": "batched-v2"}
     elapsed = time.monotonic() - t0
     _report(6, elapsed, "(147, 29798, 3) = 29791 + 7; d=5 by min weight; "
                         "hypotheses exhaustive on 32 members; "
@@ -205,7 +205,7 @@ def test_criterion_07_resilience_four(preset_run):
     assert sampled["result"] and sampled["params"]["trials"] == 10**6
     assert sampled["params"]["violations"] == 0
     assert sampled["params"] == {"trials": 10**6, "violations": 0, "seed": 0,
-                                 "sampler": "batched-v1"}
+                                 "sampler": "batched-v2"}
     elapsed = time.monotonic() - t0
     _report(7, elapsed, "(81, 747, 4) = 729 + 18; structural certificate "
                         "(d=7, 4*2 < 9, singleton family, cross-cover "

@@ -311,6 +311,20 @@ def test_family_verify_subfamily_and_sampled(tmp_path, capsys):
     assert json.loads(out.splitlines()[-1])["kind"] == "cover"
 
 
+def test_acc_verify_sampled_rejects_seeds_outside_64_bits(tmp_path, capsys):
+    # -1 would otherwise draw a stream of its own, or -5 the one of 5
+    from acckit.fixturegen import EXAMPLE1_SETS
+    acc = tmp_path / "ex1_acc.json"
+    acc.write_text(json.dumps({"v": 9, "n": 12, "K": 2, "codewords": [
+        "".join("0" if k in s else "1" for k in range(9))
+        for s in EXAMPLE1_SETS]}))
+    for seed in ("-1", str(2**64)):
+        code, out, err = run_cli(capsys, "acc", "verify", "--acc", str(acc),
+                                 "--prop", "udf", "--mode", "sampled",
+                                 "--trials", "100", "--seed", seed)
+        assert code == 2 and out == "" and "seed must lie in" in err, seed
+
+
 def test_family_verify_rejects_bad_subfamily(tmp_path, capsys):
     from acckit.fixturegen import EXAMPLE1_SETS
     fam = tmp_path / "ex1.json"
@@ -514,7 +528,7 @@ def test_sampled_json_names_the_sampler(capsys):
                            "--m", "7", "--K", "3", "--mode", "sampled",
                            "--trials", "100", "--json")
     assert code in (0, 1)
-    assert json.loads(out)["sampler"] == "batched-v1"
+    assert json.loads(out)["sampler"] == "batched-v2"
 
 
 def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys):

@@ -29,9 +29,9 @@ from acckit.families import (FamilyError, SetFamily, Universe, Witness,
 from acckit.gf import GF
 from acckit.presets import FIXTURE_DIR
 
-from _oracles import (naive_cff, naive_cover_witness, naive_root_refuted,
-                      naive_ud_code, naive_udf, reference_floyd_sets,
-                      reference_ud_code_walk)
+from _oracles import (SplitMix64, naive_cff, naive_cover_witness,
+                      naive_root_refuted, naive_ud_code, naive_udf,
+                      reference_floyd_sets, reference_ud_code_walk)
 
 
 def random_family(rng, n, v, max_size=None):
@@ -253,6 +253,30 @@ def test_udf_packed_scan_matches_walk_and_oracle(fam, partition):
     event(partition[0])
     for members in (fam.members, fam.members[::-1]):
         _check_packed_udf(SetFamily(fam.universe, members), partition)
+
+
+def test_packed_scan_keeps_each_or_class_in_one_batch():
+    # {0, 3} | {1, 2} = {0, 1} | {2, 3}.  Over v <= 16 each member is its
+    # own label, and the two label pairs of that union lie far apart in
+    # (g, h) order, so only batches cut along OR classes hold both keys
+    sets = []
+    for k, S in enumerate([[0, 3], [1, 2], [0, 1], [2, 3]]):
+        sets += [[4 + 2 * k], S, [5 + 2 * k]]
+    fam = SetFamily.from_sets(Universe(12), sets)
+    labels = sorted(fam.members)
+    g, h = np.triu_indices(len(labels))
+    at = [i for i, (a, b) in enumerate(zip(g, h))
+          if labels[a] | labels[b] == 0b1111]
+    assert len(at) == 2 and at[1] - at[0] > 1
+    walk = is_k_udf(fam, 2)
+    assert walk.witness == Witness("duplicate-union", (1, 4), (7, 10))
+    for batch in (1, 2, 4, 8, 16):
+        with forced_packed_scan("caller", batch) as kinds:
+            batches = fam_mod._batches(np.array(fam.members, np.uint64),
+                                       np.bitwise_or)
+            packed = is_k_udf(fam, 2)
+        assert len(batches) > 1 and kinds == ["duplicate-union"]
+        assert (packed.ok, packed.witness) == (False, walk.witness), batch
 
 
 def _check_packed_udf(fam, partition):
@@ -1241,10 +1265,11 @@ def test_sample_ud_code_on_a_wide_alphabet_is_pinned():
         True, 1000, 0, None)
     mixed = CodeBook(s=2**24, m=2,
                      rows=np.array([[0, 0], [1, 1], [0, 1], [1, 0]]))
-    for seed, violations in ((0, 22), (7, 17)):
+    for seed, violations, pair in ((0, 15, ((0, 1), (2, 3))),
+                                   (7, 12, ((2, 3), (0, 1)))):
         rep = sample_ud_code(mixed, 2, 1000, seed=seed)
         assert rep.violations == violations
-        assert rep.witness == Witness("duplicate-symbol-set", (2, 3), (0, 1))
+        assert rep.witness == Witness("duplicate-symbol-set", *pair)
         assert replay_witness(mixed, rep.witness)
 
 
@@ -1270,6 +1295,18 @@ def test_samplers_reject_nonpositive_trials_and_k(example1_family, example2_book
             sample(obj, 0, 10, seed=0)
 
 
+def test_samplers_reject_seeds_outside_64_bits(example1_family, example2_book):
+    # the stream's state is a 64-bit seed: a negative one would alias
+    # another seed's trials while the report records its own
+    for sample, obj in ((sample_udf, example1_family),
+                        (sample_cff, example1_family),
+                        (sample_ud_code, example2_book)):
+        for seed in (-1, -5, 2**64):
+            with pytest.raises(FamilyError, match="seed must lie in"):
+                sample(obj, 2, 10, seed=seed)
+        assert sample(obj, 2, 10, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_sample_cff_caps_cover_size_below_n():
     # K >= n: a subset of all n members would leave no target outside it
     rep = sample_cff(SetFamily.from_sets(Universe(3), [[0], [1]]), 2, 100)
@@ -1284,8 +1321,8 @@ def test_sampler_reports_carry_sampler_version(example1_family, example2_book):
     for rep in (sample_udf(example1_family, 2, 10),
                 sample_cff(example1_family, 2, 10),
                 sample_ud_code(example2_book, 2, 10)):
-        assert rep.sampler == fam_mod.SAMPLER == "batched-v1"
-        assert rep.to_json_dict()["sampler"] == "batched-v1"
+        assert rep.sampler == fam_mod.SAMPLER == "batched-v2"
+        assert rep.to_json_dict()["sampler"] == "batched-v2"
 
 
 def _within(count, total, p, se_count=5):
@@ -1299,9 +1336,10 @@ def test_sampler_draws_are_uniform(kmax):
     # n = 5 members, index sets of 1..kmax of them, 5 blocks of each kind;
     # kmax = 4 = n - 1 is the largest cover subset
     n, blocks = 5, 5
-    rng = random.Random(11)
-    covers = [fam_mod._draw_block(rng, n, kmax, "cover") for _ in range(blocks)]
-    pairs = [fam_mod._draw_block(rng, n, kmax, "duplicate-union")
+    words = fam_mod._Words(11)
+    covers = [fam_mod._draw_block(words, n, kmax, "cover")
+              for _ in range(blocks)]
+    pairs = [fam_mod._draw_block(words, n, kmax, "duplicate-union")
              for _ in range(blocks)]
     sets = np.concatenate([j1 for j1, _ in covers + pairs]
                           + [j2 for _, j2 in pairs])
@@ -1334,18 +1372,11 @@ def test_sampler_draws_are_uniform(kmax):
 def test_draw_sets_at_kmax_equal_to_n():
     # every index set of n = 4 members is drawn with probability
     # 1 / (kmax * C(n, |S|)), and each member costs exactly one 32-bit draw
-    class Counting(random.Random):
-        words = 0
-
-        def randbytes(self, k):
-            self.words += k // 4
-            return super().randbytes(k)
-
     n, count = 4, 40_000
-    rng = Counting(2)
+    words = fam_mod._Words(2)
     drawn = [tuple(j for j in row if j < n)
-             for row in fam_mod._draw_sets(rng, n, n, count).tolist()]
-    assert rng.words < 1.01 * count * (1 + (n + 1) / 2)
+             for row in fam_mod._draw_sets(words, n, n, count).tolist()]
+    assert words.used < 1.01 * count * (1 + (n + 1) / 2)
     for k in range(1, n + 1):
         for S in itertools.combinations(range(n), k):
             assert _within(drawn.count(S), count, 1 / (n * math.comb(n, k))), S
@@ -1353,10 +1384,14 @@ def test_draw_sets_at_kmax_equal_to_n():
 
 def _draw_cases():
     """(n, kmax, count) for the stream freeze: kmax = 1, kmax = n,
-    n = kmax + 1, odd and single-row counts, then seeded random ones."""
+    n = kmax + 1, odd and single-row counts, ranges past 2^31 where about
+    half (n = 2^31 + 5) or a quarter (n = 3 * 2^30) of the words are
+    rejected, then seeded random ones."""
     cases = [(1, 1, 1), (1, 1, 7), (2, 1, 5), (2, 2, 3), (5, 1, 4095),
              (5, 5, 4096), (6, 5, 333), (12, 12, 1001), (13, 12, 77),
-             (20, 20, 4097), (21, 20, 999), (30, 3, 4096), (1000, 4, 513)]
+             (20, 20, 4097), (21, 20, 999), (30, 3, 4096), (1000, 4, 513),
+             (2**31 + 5, 1, 501), (2**31 + 5, 3, 1000), (3 * 2**30, 4, 777),
+             (2**32 - 1, 2, 99)]
     rng = random.Random(2024)
     for _ in range(40):
         n = rng.randint(1, 40)
@@ -1364,16 +1399,52 @@ def _draw_cases():
     return cases
 
 
+def _check_draw_sets(seed, n, kmax, count):
+    """The column-major draw from the numpy counter stream against the
+    row-wise one from the sequential Python-int SplitMix64: equal sets,
+    and the same number of words consumed."""
+    words, ref_words = fam_mod._Words(seed), SplitMix64(seed)
+    got = fam_mod._draw_sets(words, n, kmax, count)
+    want = reference_floyd_sets(ref_words, n, kmax, count)
+    assert got.shape == want.shape == (count, kmax)
+    assert np.array_equal(got, want), (seed, n, kmax, count)
+    assert words.used == ref_words.used
+
+
 def test_draw_sets_matches_row_wise_floyd_reference():
-    # the column-major draw consumes the stream as the row-wise one does,
-    # so every batched-v1 report stays as it was
+    # a drift of the draw from the reference would move batched-v2 reports
     for seed, (n, kmax, count) in enumerate(_draw_cases()):
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        got = fam_mod._draw_sets(rng, n, kmax, count)
-        want = reference_floyd_sets(ref_rng, n, kmax, count)
-        assert got.shape == want.shape == (count, kmax)
-        assert np.array_equal(got, want), (n, kmax, count)
-        assert rng.getstate() == ref_rng.getstate()
+        _check_draw_sets(seed, n, kmax, count)
+
+
+@given(st.integers(0, 2**64 - 1),
+       st.one_of(st.integers(1, 40),
+                 st.sampled_from([2**31 + 5, 3 * 2**30, 2**32 - 1])),
+       st.integers(1, 12), st.integers(1, 300))
+def test_draw_sets_match_reference_on_random_streams(seed, n, kmax, count):
+    # any seed, and ranges whose words are often rejected
+    _check_draw_sets(seed, n, min(kmax, n), count)
+
+
+def test_splitmix64_matches_published_outputs():
+    # splitmix64.c's outputs for seed 1234567, and seed 0's first; both
+    # the Python-int oracle and the numpy counter stream, whose words are
+    # each output's low half, then its high half
+    vector = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+              4593380528125082431, 16408922859458223821]
+    ref = SplitMix64(1234567)
+    assert [ref.next64() for _ in vector] == vector
+    for seed, want in ((1234567, vector), (0, [0xE220A8397B1DCDAF])):
+        words = fam_mod._Words(seed)
+        parts = [words.take(k) for k in (1, 2 * len(want) - 1)]
+        got = np.concatenate(parts).astype(object)
+        assert [lo | hi << 32 for lo, hi in zip(got[::2], got[1::2])] == want
+        assert words.used == 2 * len(want)
+    # words taken in uneven pieces, across a computed chunk's end
+    ref, words = SplitMix64(99), fam_mod._Words(99)
+    pieces = [words.take(k) for k in (3, fam_mod._CHUNK - 2, 5, 1)]
+    assert np.concatenate(pieces).tolist() == [
+        ref.word() for _ in range(fam_mod._CHUNK + 7)]
 
 
 @st.composite
@@ -1414,20 +1485,20 @@ def test_unions_and_cover_check_match_python_ints(case):
 
 
 def test_sampler_reports_are_pinned(example1_family, example2_book):
-    # reports of the batched-v1 stream: a change to the draws shows here
+    # reports of the batched-v2 stream: a change to the draws shows here
     dense = SetFamily.from_sets(Universe(6), [[0, 1], [2], [0, 1]])
     cases = [
-        (sample_udf(dense, 2, 5000, seed=1), 1268,
+        (sample_udf(dense, 2, 5000, seed=1), 1357,
          Witness("duplicate-union", (0,), (2,))),
-        (sample_cff(example1_family, 3, 5000, seed=2), 495,
-         Witness("cover", j2=(7, 10), covered=5)),
-        (sample_udf(example1_family, 12, 5000, seed=4), 1801,
-         Witness("duplicate-union", (0, 1, 3, 4, 5, 6, 7, 9),
-                 (1, 2, 3, 5, 6, 9, 10))),
-        (sample_cff(example1_family, 12, 5000, seed=5), 3231,
-         Witness("cover", j2=(0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11), covered=5)),
-        (sample_ud_code(example2_book, 3, 5000, seed=3), 13,
-         Witness("duplicate-symbol-set", (7, 9, 11), (9, 11))),
+        (sample_cff(example1_family, 3, 5000, seed=2), 546,
+         Witness("cover", j2=(0, 9, 10), covered=1)),
+        (sample_udf(example1_family, 12, 5000, seed=4), 1830,
+         Witness("duplicate-union", (0, 1, 5, 7, 8, 9, 10),
+                 (0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11))),
+        (sample_cff(example1_family, 12, 5000, seed=5), 3310,
+         Witness("cover", j2=(2, 4, 5, 7, 8, 9, 10), covered=1)),
+        (sample_ud_code(example2_book, 3, 5000, seed=3), 9,
+         Witness("duplicate-symbol-set", (4, 7, 10), (4, 5, 8))),
     ]
     # rows of several words: members share element 5 of word 0 and differ
     # only in words 1 and 2, and the book's one-hot universe has 80
@@ -1442,21 +1513,21 @@ def test_sampler_reports_are_pinned(example1_family, example2_book):
     book = CodeBook(s=4, m=20, rows=np.array(rows))
     assert fam_mod._one_hot(book).universe.v == 80
     cases += [
-        (sample_udf(wide, 2, 5000, seed=0), 31,
-         Witness("duplicate-union", (7, 10), (10,))),
-        (sample_cff(wide, 2, 5000, seed=0), 415,
-         Witness("cover", j2=(10,), covered=2)),
-        (sample_udf(wide, 3, 5000, seed=1), 26,
-         Witness("duplicate-union", (1, 9, 11), (9, 11))),
-        (sample_cff(wide, 3, 5000, seed=1), 556,
-         Witness("cover", j2=(9, 10), covered=0)),
-        (sample_ud_code(book, 2, 5000, seed=0), 3,
+        (sample_udf(wide, 2, 5000, seed=0), 35,
+         Witness("duplicate-union", (0, 9), (0, 1))),
+        (sample_cff(wide, 2, 5000, seed=0), 440,
+         Witness("cover", j2=(1, 11), covered=3)),
+        (sample_udf(wide, 3, 5000, seed=1), 32,
+         Witness("duplicate-union", (7, 10, 11), (3, 10, 11))),
+        (sample_cff(wide, 3, 5000, seed=1), 528,
+         Witness("cover", j2=(7, 9), covered=0)),
+        (sample_ud_code(book, 2, 5000, seed=0), 5,
          Witness("duplicate-symbol-set", (4, 5), (0, 1))),
-        (sample_ud_code(book, 3, 5000, seed=2), 40,
-         Witness("duplicate-symbol-set", (1, 3, 4), (0, 1, 3))),
+        (sample_ud_code(book, 3, 5000, seed=2), 41,
+         Witness("duplicate-symbol-set", (4, 5), (3, 4, 5))),
     ]
     for rep, violations, witness in cases:
-        assert rep.sampler == "batched-v1"
+        assert rep.sampler == "batched-v2"
         assert (rep.violations, rep.witness) == (violations, witness)
 
 

@@ -145,13 +145,13 @@ PRESET_SHA256 = {
     },
     "example5": {
         "acc": "2cb66dd8e7157f2807704fadecba499f0a60ad890dc2cc6dfbf46a0d807bc245",
-        "certificate": "412701cb88cd14c26bc5137b09066c60ed22593deafb8fb50f9e7ab0bf5e8e9a",
-        "summary": "cc828a99a21eb311257d415393d68f2335961ce09dc5eb109eb9bb3222cb6c45",
+        "certificate": "7a062e4191bfaa550aadd92b63db37db53b42f46aceb89df70c097c8bc1424bc",
+        "summary": "e9e8118b395a1767f24fdb0410580a2e8940ee8525430b8362331c80dd402126",
     },
     "example6": {
         "acc": "926d5a2f079e297b2fe21b103e415356413babe2ccb3ab05ffa82193d0586d34",
-        "certificate": "99b2a3dcb2e3e6a7042cd59528aab2f1aaa2683e42ca8c108987e57a3e020528",
-        "summary": "2362d6272fc9a3f36a91ca20d844f3862a2448813e3c6b072697ebfe95699bb2",
+        "certificate": "c09843aa45a31d93d2d3a7e27b1060af05ea2e3ce34c6c05acbfd3448711dd11",
+        "summary": "bfd99e0f6ebf3ddef357d1864b25ae4df3938af00776efa343675f4979da9435",
     },
 }
 
